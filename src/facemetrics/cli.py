@@ -26,8 +26,9 @@ output regardless of ``--threads``.
 Exit status: 0 on success, 1 for bad input or flags, 2 if an internal
 invariant breaks (a bug, not a usage problem).
 
-``FACEMETRICS_THREADS`` sets the default worker count; an explicit
-``--threads`` wins.
+``--threads`` (default: ``FACEMETRICS_THREADS``, else 1) is accepted
+and validated for compatibility, but every subcommand runs on one
+thread; a value below 1 is an input error.
 """
 
 from __future__ import annotations
@@ -377,8 +378,8 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for per-image metric work "
-        "(default: FACEMETRICS_THREADS, else 1); never affects results",
+        help="accepted for compatibility and must be >= 1 "
+        "(default: FACEMETRICS_THREADS, else 1); work runs on one thread",
     )
     sub.add_argument(
         "--dataset-name", default="", help="dataset label recorded in JSON output"

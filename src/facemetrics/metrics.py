@@ -2,10 +2,15 @@
 
 Curve construction sweeps thresholds over exactly the distinct detection
 scores, plus +infinity for the empty operating point, with no binning.
-At each threshold the detections at or above it are re-matched from
-scratch (IoU values are cached per image, but no match state carries
-across thresholds), which keeps every operating point independently
-verifiable.
+The sweep is one pass per image followed by one merge.  Each image is
+matched at most once per own distinct score: the greedy matcher claims
+in score order, so one full pass gives the pairs at every cut as a
+prefix; the optimal matcher is re-solved only at the image's own scores,
+since its kept set does not change in between.  Each image emits one
+event per own distinct score (the change in its TP count, FP count and
+IoU total), and the events are summed by score and accumulated down the
+global threshold list.  Work and memory grow with the detections, not
+with images times distinct scores.
 
 True positives are matched detections; everything else kept at the
 threshold is a false positive.  The discrete criterion counts each
@@ -15,21 +20,24 @@ must clear the matching IoU threshold (default 0.5) before its weight
 counts at all; that qualification lives in the matchers' strict
 comparison.
 
-Per-image work is independent: curves are reduced from per-image
-tallies with an order-fixed merge, so results are identical no matter
-how many worker threads run the images.  IoU totals use compensated
-summation (``math.fsum``), making them independent of detection input
-order as well.  Score ties are broken by input index, so shuffling
-detections with *distinct* scores never changes any curve.
+Every operating point equals a from-scratch re-match at its threshold
+(``tests/oracles.py`` keeps that re-match as the reference).  An image's
+IoU total is the ``math.fsum`` of its matched IoUs, and the dataset total
+is the correctly rounded sum of those per-image totals: the events carry
+changes of the rounded per-image totals as exact integers, which are
+rounded once per threshold, so no total depends on the order it was
+summed in.  Score ties are broken by input index,
+so shuffling detections with *distinct* scores never changes any curve.
+The ``threads`` argument is validated but runs nothing in parallel;
+results never depend on it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence
 
 from .matching import (
     Detection,
@@ -149,18 +157,9 @@ class EvalDataset:
         return cls(images=built, total_gt_count=total)
 
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def _ordered_map(fn: Callable[[_T], _R], items: Sequence[_T], threads: int) -> list[_R]:
-    """Apply ``fn`` across items, preserving order regardless of thread count."""
+def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _check_matcher(matcher: str) -> None:
@@ -181,41 +180,58 @@ def _score_thresholds(ds: EvalDataset) -> list[float]:
     return [math.inf] + sorted(scores, reverse=True)
 
 
-class _Tally(NamedTuple):
-    true_positives: int
-    iou_sum: float
-    false_positives: int
+# Every finite float is an integer multiple of 2**-1074, so IoU sums kept
+# as integers over this denominator are exact.
+_EXACT_DENOMINATOR = 1 << 1074
 
 
-def _image_sweep(
+def _exact(value: float) -> int:
+    numerator, denominator = value.as_integer_ratio()
+    return numerator * (_EXACT_DENOMINATOR // denominator)
+
+
+def _image_events(
     entry: ImageEntries,
-    thresholds: Sequence[float],
     matcher: str,
     iou_threshold: float,
     polygon_vertices: int,
-) -> list[_Tally]:
-    """Per-image (TP, IoU sum, FP) at every score threshold."""
+) -> list[tuple[float, int, int, int]]:
+    """One image's (score, TP change, FP change, IoU-sum change) per own distinct score.
+
+    The IoU-sum change is that of the image's rounded ``fsum`` total, in
+    exact units (see :func:`_exact`).
+    """
     dets, gts = entry
+    if not dets:
+        return []
     matrix = iou_matrix(dets, gts, polygon_vertices)
     by_score = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    tallies = []
-    for threshold in thresholds:
-        if matcher == "greedy":
-            priority = [i for i in by_score if dets[i].score >= threshold]
-            kept_count = len(priority)
-            pairs = greedy_assignment(matrix, priority, iou_threshold)
-        else:
-            kept = [i for i in range(len(dets)) if dets[i].score >= threshold]
-            kept_count = len(kept)
-            pairs = optimal_assignment([matrix[i] for i in kept], iou_threshold)
-        tallies.append(
-            _Tally(
-                true_positives=len(pairs),
-                iou_sum=math.fsum(iou for _, _, iou in pairs),
-                false_positives=kept_count - len(pairs),
-            )
-        )
-    return tallies
+    # Greedy claims in score order, so the pairs at any cut are the first
+    # pairs of one full pass.
+    matched = (
+        {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
+        if matcher == "greedy"
+        else {}
+    )
+    ious: list[float] = []
+    events = []
+    tp = fp = iou_sum = 0
+    for kept_count, i in enumerate(by_score, start=1):
+        if i in matched:
+            ious.append(matched[i])
+        score = dets[i].score
+        if kept_count < len(dets) and dets[by_score[kept_count]].score == score:
+            continue
+        if matcher == "optimal":
+            # The kept set changes only at the image's own scores.
+            kept = [matrix[k] for k in range(len(dets)) if dets[k].score >= score]
+            ious = [iou for _, _, iou in optimal_assignment(kept, iou_threshold)]
+        new_sum = _exact(math.fsum(ious))
+        new_tp = len(ious)
+        new_fp = kept_count - new_tp
+        events.append((score, new_tp - tp, new_fp - fp, new_sum - iou_sum))
+        tp, fp, iou_sum = new_tp, new_fp, new_sum
+    return events
 
 
 def _sweep_totals(
@@ -223,24 +239,31 @@ def _sweep_totals(
     matcher: str,
     iou_threshold: float,
     polygon_vertices: int,
-    threads: int,
-) -> tuple[list[float], list[_Tally]]:
-    thresholds = _score_thresholds(ds)
-    per_image = _ordered_map(
-        lambda entry: _image_sweep(entry, thresholds, matcher, iou_threshold, polygon_vertices),
-        list(ds.images.values()),
-        threads,
-    )
+) -> list[tuple[float, int, int, float]]:
+    """(threshold, TP, FP, IoU sum) at +inf and at every distinct score, descending.
+
+    The IoU sum is the correctly rounded total of the images' ``fsum``
+    totals, rounded once from exact units.
+    """
+    changes: dict[float, list[int]] = {}
+    for entry in ds.images.values():
+        for score, tp, fp, iou_sum in _image_events(
+            entry, matcher, iou_threshold, polygon_vertices
+        ):
+            change = changes.setdefault(score, [0, 0, 0])
+            change[0] += tp
+            change[1] += fp
+            change[2] += iou_sum
     totals = []
-    for idx in range(len(thresholds)):
-        totals.append(
-            _Tally(
-                true_positives=sum(t[idx].true_positives for t in per_image),
-                iou_sum=math.fsum(t[idx].iou_sum for t in per_image),
-                false_positives=sum(t[idx].false_positives for t in per_image),
-            )
-        )
-    return thresholds, totals
+    tp = fp = iou_sum = 0
+    for threshold in _score_thresholds(ds):
+        change = changes.get(threshold)
+        if change is not None:
+            tp += change[0]
+            fp += change[1]
+            iou_sum += change[2]
+        totals.append((threshold, tp, fp, iou_sum / _EXACT_DENOMINATOR))
+    return totals
 
 
 def _roc_curve(
@@ -254,15 +277,15 @@ def _roc_curve(
 ) -> Curve:
     _check_dataset(ds)
     _check_matcher(matcher)
-    thresholds, totals = _sweep_totals(ds, matcher, iou_threshold, polygon_vertices, threads)
+    _check_threads(threads)
     n_images = len(ds.images)
     points = []
-    for threshold, tally in zip(thresholds, totals):
+    for threshold, tp, fp, iou_sum in _sweep_totals(ds, matcher, iou_threshold, polygon_vertices):
         if y_semantics is YSemantics.TPR_CONTINUOUS:
-            y = tally.iou_sum / ds.total_gt_count
+            y = iou_sum / ds.total_gt_count
         else:
-            y = tally.true_positives / ds.total_gt_count
-        x = float(tally.false_positives)
+            y = tp / ds.total_gt_count
+        x = float(fp)
         if x_semantics is XSemantics.FP_PER_IMAGE:
             x /= n_images
         points.append(CurvePoint(x=x, y=y, threshold=threshold))
@@ -376,12 +399,12 @@ def proposal_recall(
         raise ValueError(f"n_values must be non-negative, got {list(n_values)}")
     if any(not 0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
+    _check_threads(threads)
     thresholds = sorted(iou_thresholds)
-    per_image = _ordered_map(
-        lambda entry: _image_recall_counts(entry, n_values, thresholds, polygon_vertices),
-        list(ds.images.values()),
-        threads,
-    )
+    per_image = [
+        _image_recall_counts(entry, n_values, thresholds, polygon_vertices)
+        for entry in ds.images.values()
+    ]
     curves = []
     for n_idx in range(len(n_values)):
         points = []

@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+import facemetrics.metrics
 from facemetrics.geometry import Rect
 from facemetrics.matching import Detection, GroundTruth
 from facemetrics.metrics import (
@@ -176,6 +178,78 @@ def test_roc_equals_rematch_oracle_spot_check():
             assert [p.y for p in curve.points] == [
                 tp / ds.total_gt_count for tp, _, _ in tallies
             ]
+
+
+def _hex_points(curve):
+    return [(p.x.hex(), p.y.hex(), p.threshold.hex()) for p in curve.points]
+
+
+def test_roc_equals_rematch_oracle_bit_for_bit():
+    rng = random.Random(2016)
+    seen = Counter()
+    for _ in range(40):
+        ds = oracles.random_mini_dataset(rng, max_images=6, max_total_dets=20)
+        total = ds.total_gt_count
+        n_images = len(ds.images)
+        per_image_scores = [[d.score for d in e.detections] for e in ds.images.values()]
+        all_scores = [s for scores in per_image_scores for s in scores]
+        seen["tie within an image"] += any(len(set(s)) < len(s) for s in per_image_scores)
+        seen["tie across images"] += len(set(all_scores)) < sum(
+            len(set(s)) for s in per_image_scores
+        )
+        seen["image without detections"] += any(not e.detections for e in ds.images.values())
+        seen["image without ground truths"] += any(
+            not e.ground_truths for e in ds.images.values()
+        )
+        for matcher in ("greedy", "optimal"):
+            for iou_threshold in (0.0, 0.3, 0.5):
+                thresholds, tallies = oracles.roc_rematch_tallies(ds, matcher, iou_threshold)
+                kwargs = dict(iou_threshold=iou_threshold)
+                assert _hex_points(discrete_roc(ds, matcher, **kwargs)) == [
+                    (float(fp).hex(), (tp / total).hex(), t.hex())
+                    for t, (tp, fp, _) in zip(thresholds, tallies)
+                ]
+                assert _hex_points(continuous_roc(ds, matcher, **kwargs)) == [
+                    (float(fp).hex(), (iou_sum / total).hex(), t.hex())
+                    for t, (_, fp, iou_sum) in zip(thresholds, tallies)
+                ]
+                assert _hex_points(normalized_fp_roc(ds, matcher, **kwargs)) == [
+                    ((fp / n_images).hex(), (tp / total).hex(), t.hex())
+                    for t, (tp, fp, _) in zip(thresholds, tallies)
+                ]
+    # Every edge case the sweep must handle came up at least a few times.
+    assert min(seen.values()) >= 5, seen
+    assert len(seen) == 4
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    wrapped = getattr(facemetrics.metrics, name)
+
+    def counting(matrix, *args):
+        calls.append(matrix)
+        return wrapped(matrix, *args)
+
+    monkeypatch.setattr(facemetrics.metrics, name, counting)
+    return calls
+
+
+def test_roc_matches_each_image_once_per_own_score(monkeypatch):
+    greedy_calls = _count_calls(monkeypatch, "greedy_assignment")
+    optimal_calls = _count_calls(monkeypatch, "optimal_assignment")
+    rng = random.Random(5)
+    for _ in range(20):
+        ds = oracles.random_mini_dataset(rng, max_images=6, max_total_dets=20)
+        entries = ds.images.values()
+        greedy_calls.clear()
+        discrete_roc(ds, "greedy")
+        assert len(greedy_calls) == sum(1 for e in entries if e.detections)
+        greedy_calls.clear()
+        optimal_calls.clear()
+        discrete_roc(ds, "optimal")
+        own_scores = sum(len({d.score for d in e.detections}) for e in entries)
+        assert len(optimal_calls) <= own_scores
+        assert not greedy_calls
 
 
 def test_proposal_recall_worked_example():
