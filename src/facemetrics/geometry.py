@@ -220,18 +220,46 @@ def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) ->
     return output
 
 
-def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, n: int = 1024) -> float:
+def iou_ellipse_rect(
+    ellipse: Ellipse, rect: Rect, n: int = 1024, *, polygon: Polygon | None = None
+) -> float:
     """IoU between an ellipse and a rectangle via polygon clipping.
 
     The ellipse is approximated by an inscribed ``n``-gon and clipped
     against the rectangle; the ellipse's own area uses the exact
     pi * a * b value.  At the default n=1024 the approximation error is
     far below the 5e-3 level that matters for matching decisions.
+
+    ``polygon``, when given, must be the ``ellipse_to_polygon(ellipse, n)``
+    result; callers that score one ellipse against many rects build it
+    once and pass it in.
+
+    A rect disjoint from the ellipse's ``bounding_rect`` widened by a
+    margin of ``1e-9 * (|center_x| + |center_y| + semi_major) + 1e-300``
+    returns 0.0 before any polygon is built, which is what clipping
+    returns too.  Every polygon vertex, and every crossing the clip adds,
+    lies within a few dozen ulps of ``|center_x| + |center_y| +
+    semi_major`` of the exact box (the 1e-300 covers underflow), some 1e5
+    times less than the margin.  So all of them fall strictly outside
+    the rect's facing edge and the clip comes out empty.  Bounds that
+    overflow never reject.
     """
     rect_area = area(rect)
     if rect_area <= 0:
         return 0.0
-    polygon = ellipse_to_polygon(ellipse, n)
+    half_w, half_h = _half_extents(ellipse)
+    cx = ellipse.center_x
+    cy = ellipse.center_y
+    margin = 1e-9 * (abs(cx) + abs(cy) + ellipse.semi_major) + 1e-300
+    if (
+        rect.x_min > cx + half_w + margin
+        or rect.x_max < cx - half_w - margin
+        or rect.y_min > cy + half_h + margin
+        or rect.y_max < cy - half_h - margin
+    ):
+        return 0.0
+    if polygon is None:
+        polygon = ellipse_to_polygon(ellipse, n)
     clipped = clip_polygon_to_rect(polygon.vertices, rect)
     if len(clipped) < 3:
         return 0.0
@@ -245,20 +273,36 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, n: int = 1024) -> float:
     return min(max(iou, 0.0), 1.0)
 
 
-def bounding_rect(ellipse: Ellipse) -> Rect:
-    """Tight axis-aligned bounds of a rotated ellipse."""
+def _half_extents(ellipse: Ellipse) -> tuple[float, float]:
+    """Half width and half height of the ellipse's axis-aligned bounds."""
     a = ellipse.semi_major
     b = ellipse.semi_minor
     cos_t = math.cos(ellipse.angle)
     sin_t = math.sin(ellipse.angle)
-    half_w = math.sqrt((a * cos_t) ** 2 + (b * sin_t) ** 2)
-    half_h = math.sqrt((a * sin_t) ** 2 + (b * cos_t) ** 2)
+    return (
+        math.sqrt((a * cos_t) ** 2 + (b * sin_t) ** 2),
+        math.sqrt((a * sin_t) ** 2 + (b * cos_t) ** 2),
+    )
+
+
+def bounding_rect(ellipse: Ellipse) -> Rect:
+    """Tight axis-aligned bounds of a rotated ellipse."""
+    half_w, half_h = _half_extents(ellipse)
     return Rect(
         ellipse.center_x - half_w,
         ellipse.center_y - half_h,
         ellipse.center_x + half_w,
         ellipse.center_y + half_h,
     )
+
+
+# Exact pruning in ``nms`` (see its docstring): every limit is loosened
+# by this relative slack, far above the few-ulp rounding of an IoU, and
+# pruning by IoU bounds runs only where that rounding analysis holds.
+_NMS_SLACK = 1e-9
+_NMS_MIN_THRESHOLD = 1e-50
+_NMS_MIN_SIDE = 1e-125
+_NMS_MAX_SIDE = 1e125
 
 
 def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
@@ -269,12 +313,66 @@ def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
     exceeds ``iou_threshold``.  The strict comparison means boxes with
     zero overlap survive any threshold, including 0.  Image identifiers
     are ignored: pass one image's detections at a time.
+
+    Kept boxes that cannot overlap a candidate by more than the
+    threshold are skipped without an ``iou_rect`` call; the kept list is
+    the same as comparing against every kept box.  Since IoU <= min(area)
+    / max(area), kept boxes sit in buckets of ``floor(log(area) /
+    -log(thr))`` and a candidate scans the adjacent buckets only.  There
+    a pair is skipped when inter_w / max(w), inter_h / max(h) or
+    min(area) / max(area), each an upper bound on IoU, is at most the
+    threshold.  This is exact: the rounding in ``iou_rect`` puts its
+    result at most a few ulps above each bound, and every limit, the
+    bucket width included, is loosened by a relative 1e-9, so a skipped
+    pair never has an IoU above ``iou_threshold``.  That rounding bound
+    needs every box side in [1e-125, 1e125] (or 0) and a threshold of at
+    least 1e-50; other pools skip only pairs whose IoU is exactly 0.
+    Boxes of zero width or height neither suppress nor are suppressed.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    boxes = [d.region for d in dets]
+    sizes = [(r.x_max - r.x_min, r.y_max - r.y_min) for r in boxes]
+    if iou_threshold >= _NMS_MIN_THRESHOLD and all(
+        w == 0.0 or h == 0.0 or (
+            _NMS_MIN_SIDE <= w <= _NMS_MAX_SIDE and _NMS_MIN_SIDE <= h <= _NMS_MAX_SIDE
+        )
+        for w, h in sizes
+    ):
+        limit = iou_threshold * (1.0 - _NMS_SLACK)
+        log_width = -math.log(iou_threshold) * (1.0 + _NMS_SLACK) + _NMS_SLACK
+    else:
+        limit = 0.0
+        log_width = 0.0  # one bucket
+    buckets: dict[int, list[tuple]] = {}
     kept: list[int] = []
     for i in order:
-        if all(iou_rect(dets[i].region, dets[j].region) <= iou_threshold for j in kept):
+        w, h = sizes[i]
+        if w == 0.0 or h == 0.0:
             kept.append(i)
+            continue
+        box = boxes[i]
+        x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+        a = w * h
+        # limit * max(p, q) is the larger of limit * p and limit * q.
+        la = limit * a
+        lw = limit * w
+        lh = limit * h
+        key = math.floor(math.log(a) / log_width) if log_width else 0
+        near = (*buckets.get(key - 1, ()), *buckets.get(key, ()), *buckets.get(key + 1, ()))
+        for j, u0, v0, u1, v1, kw, kh, ka in near:
+            iw = (x1 if x1 < u1 else u1) - (x0 if x0 > u0 else u0)
+            if iw <= lw or iw <= kw:
+                continue
+            ih = (y1 if y1 < v1 else v1) - (y0 if y0 > v0 else v0)
+            if ih <= lh or ih <= kh or a <= limit * ka or ka <= la:
+                continue
+            # ``not <=`` so that a NaN IoU (overflowing areas) suppresses,
+            # as the plain comparison against every kept box does.
+            if not iou_rect(box, boxes[j]) <= iou_threshold:
+                break
+        else:
+            kept.append(i)
+            buckets.setdefault(key, []).append((i, x0, y0, x1, y1, lw, lh, a))
     return [dets[i] for i in kept]

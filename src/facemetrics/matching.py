@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from .geometry import Ellipse, Rect, iou_ellipse_rect, iou_rect
+from .geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
 
 __all__ = [
     "Detection",
@@ -121,9 +121,24 @@ def iou_matrix(
     gts: Sequence[GroundTruth],
     polygon_vertices: int = 1024,
 ) -> list[list[float]]:
-    """Dense detection-by-ground-truth IoU matrix."""
+    """Dense detection-by-ground-truth IoU matrix.
+
+    Each ellipse ground truth's polygon is built once per call and shared
+    by its column; nothing is kept between calls.
+    """
+    polygons = [
+        ellipse_to_polygon(gt.region, polygon_vertices)
+        if dets and isinstance(gt.region, Ellipse)
+        else None
+        for gt in gts
+    ]
     return [
-        [region_iou(det.region, gt.region, polygon_vertices) for gt in gts]
+        [
+            region_iou(det.region, gt.region, polygon_vertices)
+            if polygon is None
+            else iou_ellipse_rect(gt.region, det.region, polygon_vertices, polygon=polygon)
+            for gt, polygon in zip(gts, polygons)
+        ]
         for det in dets
     ]
 

@@ -26,24 +26,50 @@ def unit_samples(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).random((2, n))
 
 
-def _points_in_box(px, py, x0, y0, x1, y1):
-    return (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
+def mc_work(n: int) -> tuple[np.ndarray, ...]:
+    """Work arrays for the estimators below at ``n`` samples: five float, three bool.
+
+    The estimators write every intermediate into these with ``out=``;
+    a caller that makes many estimates allocates them once and passes
+    them as ``work``.
+    """
+    return tuple(np.empty(n) for _ in range(5)) + tuple(np.empty(n, dtype=bool) for _ in range(3))
 
 
-def mc_iou_rects(a: Rect, b: Rect, samples: np.ndarray) -> float:
+def _sample_box(samples, x0, y0, x1, y1, px, py):
+    """px, py = x0 + (x1 - x0) * samples[0], y0 + (y1 - y0) * samples[1]."""
+    np.multiply(samples[0], x1 - x0, out=px)
+    px += x0
+    np.multiply(samples[1], y1 - y0, out=py)
+    py += y0
+
+
+def _points_in_box(px, py, x0, y0, x1, y1, out, tmp):
+    np.greater_equal(px, x0, out=out)
+    out &= np.less_equal(px, x1, out=tmp)
+    out &= np.greater_equal(py, y0, out=tmp)
+    out &= np.less_equal(py, y1, out=tmp)
+    return out
+
+
+def _overlap_ratio(in_a, in_b, tmp) -> float:
+    union = np.count_nonzero(np.logical_or(in_a, in_b, out=tmp))
+    if union == 0:
+        return 0.0
+    return np.count_nonzero(np.logical_and(in_a, in_b, out=tmp)) / union
+
+
+def mc_iou_rects(a: Rect, b: Rect, samples: np.ndarray, work=None) -> float:
     """IoU of two rectangles estimated by sampling their union's bounding box."""
+    px, py, _, _, _, in_a, in_b, tmp = work or mc_work(samples.shape[1])
     x0 = min(a.x_min, b.x_min)
     y0 = min(a.y_min, b.y_min)
     x1 = max(a.x_max, b.x_max)
     y1 = max(a.y_max, b.y_max)
-    px = x0 + (x1 - x0) * samples[0]
-    py = y0 + (y1 - y0) * samples[1]
-    in_a = _points_in_box(px, py, a.x_min, a.y_min, a.x_max, a.y_max)
-    in_b = _points_in_box(px, py, b.x_min, b.y_min, b.x_max, b.y_max)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
+    _sample_box(samples, x0, y0, x1, y1, px, py)
+    _points_in_box(px, py, a.x_min, a.y_min, a.x_max, a.y_max, in_a, tmp)
+    _points_in_box(px, py, b.x_min, b.y_min, b.x_max, b.y_max, in_b, tmp)
+    return _overlap_ratio(in_a, in_b, tmp)
 
 
 def _ellipse_bbox(e: Ellipse) -> tuple[float, float, float, float]:
@@ -54,27 +80,35 @@ def _ellipse_bbox(e: Ellipse) -> tuple[float, float, float, float]:
     return e.center_x - half_w, e.center_y - half_h, e.center_x + half_w, e.center_y + half_h
 
 
-def mc_iou_ellipse_rect(e: Ellipse, r: Rect, samples: np.ndarray) -> float:
+def mc_iou_ellipse_rect(e: Ellipse, r: Rect, samples: np.ndarray, work=None) -> float:
     """IoU of an ellipse and a rectangle by point sampling."""
+    px, py, u, v, t, in_e, in_r, tmp = work or mc_work(samples.shape[1])
     ex0, ey0, ex1, ey1 = _ellipse_bbox(e)
     x0 = min(ex0, r.x_min)
     y0 = min(ey0, r.y_min)
     x1 = max(ex1, r.x_max)
     y1 = max(ey1, r.y_max)
-    px = x0 + (x1 - x0) * samples[0]
-    py = y0 + (y1 - y0) * samples[1]
-    dx = px - e.center_x
-    dy = py - e.center_y
+    _sample_box(samples, x0, y0, x1, y1, px, py)
+    _points_in_box(px, py, r.x_min, r.y_min, r.x_max, r.y_max, in_r, tmp)
+    # In place from here on: px, py become dx, dy.
+    dx = np.subtract(px, e.center_x, out=px)
+    dy = np.subtract(py, e.center_y, out=py)
     cos_t = math.cos(e.angle)
     sin_t = math.sin(e.angle)
-    u = (dx * cos_t + dy * sin_t) / e.semi_major
-    v = (dy * cos_t - dx * sin_t) / e.semi_minor
-    in_e = u * u + v * v <= 1.0
-    in_r = _points_in_box(px, py, r.x_min, r.y_min, r.x_max, r.y_max)
-    union = np.count_nonzero(in_e | in_r)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_e & in_r) / union
+    # u = (dx * cos_t + dy * sin_t) / semi_major
+    np.multiply(dx, cos_t, out=u)
+    u += np.multiply(dy, sin_t, out=t)
+    u /= e.semi_major
+    # v = (dy * cos_t - dx * sin_t) / semi_minor
+    np.multiply(dy, cos_t, out=v)
+    v -= np.multiply(dx, sin_t, out=t)
+    v /= e.semi_minor
+    # in_e = u * u + v * v <= 1
+    u *= u
+    v *= v
+    u += v
+    np.less_equal(u, 1.0, out=in_e)
+    return _overlap_ratio(in_e, in_r, tmp)
 
 
 # --------------------------------------------------------------------

@@ -42,6 +42,7 @@ from oracles import (
     exhaustive_best_assignment,
     mc_iou_ellipse_rect,
     mc_iou_rects,
+    mc_work,
     random_ellipse,
     random_match_instance,
     random_mini_dataset,
@@ -109,6 +110,7 @@ def test_codec_round_trip():
 def test_geometry_oracle():
     with criterion("geometry-oracle", budget=30.0):
         samples = unit_samples(7, 10**6)
+        work = mc_work(10**6)
 
         rng = random.Random(1003)
         worst = 0.0
@@ -118,7 +120,7 @@ def test_geometry_oracle():
                 b = _shifted(a, rng, 10.0, 0.0)
             else:
                 b = random_rect(rng, span=60.0)
-            worst = max(worst, abs(iou_rect(a, b) - mc_iou_rects(a, b, samples)))
+            worst = max(worst, abs(iou_rect(a, b) - mc_iou_rects(a, b, samples, work)))
         assert worst < 5e-3, f"worst rect IoU deviation {worst:.2e}"
 
         circle = Ellipse(center_x=0.0, center_y=0.0, semi_major=10.0, semi_minor=10.0, angle=0.3)
@@ -133,7 +135,7 @@ def test_geometry_oracle():
                 r = _shifted(Rect(x0, y0, x1, y1), rng, 8.0, 0.0)
             else:
                 r = random_rect(rng)
-            worst_e = max(worst_e, abs(iou_ellipse_rect(e, r) - mc_iou_ellipse_rect(e, r, samples)))
+            worst_e = max(worst_e, abs(iou_ellipse_rect(e, r) - mc_iou_ellipse_rect(e, r, samples, work)))
         assert worst_e < 5e-3, f"worst ellipse IoU deviation {worst_e:.2e}"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -16,7 +17,9 @@ from facemetrics.geometry import (
     iou_rect,
     nms,
 )
-from facemetrics.matching import Detection
+from facemetrics import geometry, matching
+from facemetrics.anchors import DEFAULT_ANCHOR_SPEC, BoxDelta, anchor_grid, decode, top_n
+from facemetrics.matching import Detection, GroundTruth, iou_matrix, region_iou
 
 import oracles
 
@@ -313,3 +316,275 @@ def test_nms_matches_array_reference():
         # Identity lookup: value equality would mix up duplicated boxes.
         kept_indices = [next(i for i, d in enumerate(dets) if d is k) for k in kept]
         assert kept_indices == expected
+
+
+# --------------------------------------------------------------------
+# Pruned hot paths against their unpruned computations, bit for bit
+# --------------------------------------------------------------------
+
+def _unpruned_iou_ellipse_rect(ellipse, rect, polygon):
+    """``iou_ellipse_rect`` with no bounding-box reject: clip, then the same area formula."""
+    rect_area = area(rect)
+    if rect_area <= 0:
+        return 0.0
+    clipped = clip_polygon_to_rect(polygon.vertices, rect)
+    if len(clipped) < 3:
+        return 0.0
+    inter = Polygon(tuple(clipped)).area
+    union = ellipse.area + rect_area - inter
+    if union <= 0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
+def _edge_values(edge, scale):
+    """The edge, 1-4 ulps either side of it, and 1e-12 / 1e-9 relative offsets."""
+    values = [edge]
+    for direction in (math.inf, -math.inf):
+        value = edge
+        for _ in range(4):
+            value = math.nextafter(value, direction)
+            values.append(value)
+    for offset in (1e-12, 1e-9, 2e-9):
+        values += [edge + offset * scale, edge - offset * scale]
+    return values
+
+
+def _edge_ellipses(rng, n):
+    """Angles 0, pi/2 and random; thin ellipses; circles at multiples of 2pi/n.
+
+    Circles rotated by a vertex angle put a polygon vertex on the
+    extreme point of the ellipse, where rounding can carry it an ulp or
+    two past ``bounding_rect``.
+    """
+    ellipses = []
+    for _ in range(3):
+        major = rng.uniform(1.0, 60.0)
+        center = (rng.uniform(-500.0, 500.0), rng.choice([0.0, rng.uniform(-500.0, 500.0)]))
+        for minor, angle in (
+            (major * rng.uniform(0.2, 1.0), 0.0),
+            (major * 1e-3, math.pi / 2),
+            (major * 1e-3, rng.uniform(-7.0, 7.0)),
+            (major, 2.0 * math.pi * rng.randrange(n) / n),
+            (major * (1.0 - 1e-15), -2.0 * math.pi * rng.randrange(n) / n),
+        ):
+            ellipses.append(Ellipse(*center, major, minor, angle))
+    return ellipses
+
+
+def test_iou_ellipse_rect_reject_matches_unpruned_bit_for_bit():
+    rng = random.Random(31)
+    cases = 0
+    nonzero_outside_box = 0
+    for n in (8, 64, 1024):
+        for ellipse in _edge_ellipses(rng, n if n < 1024 else 64):
+            polygon = ellipse_to_polygon(ellipse, n)
+            box = bounding_rect(ellipse)
+            scale = abs(ellipse.center_x) + abs(ellipse.center_y) + ellipse.semi_major
+            span = ellipse.semi_major
+            x0, y0, x1, y1 = box.x_min - span, box.y_min - span, box.x_max + span, box.y_max + span
+            rects = []
+            for v in _edge_values(box.x_max, scale):
+                rects.append((Rect(v, y0, v + span, y1), v > box.x_max))
+            for v in _edge_values(box.x_min, scale):
+                rects.append((Rect(v - span, y0, v, y1), v < box.x_min))
+            for v in _edge_values(box.y_max, scale):
+                rects.append((Rect(x0, v, x1, v + span), v > box.y_max))
+            for v in _edge_values(box.y_min, scale):
+                rects.append((Rect(x0, v - span, x1, v), v < box.y_min))
+            for rect, outside in rects:
+                got = iou_ellipse_rect(ellipse, rect, n)
+                want = _unpruned_iou_ellipse_rect(ellipse, rect, polygon)
+                assert got.hex() == want.hex(), (ellipse, rect, n)
+                cases += 1
+                nonzero_outside_box += outside and got > 0.0
+    assert cases == 3 * 15 * 4 * 15
+    # Rects wholly outside bounding_rect that still clip a sliver: a reject
+    # without a margin would turn these into 0.0.
+    assert nonzero_outside_box > 0
+
+
+def test_iou_matrix_polygon_reuse_matches_region_iou():
+    rng = random.Random(32)
+    for n in (8, 64, 1024):
+        gts = []
+        dets = []
+        for _ in range(4):
+            ellipse = oracles.random_ellipse(rng)
+            gts.append(GroundTruth(region=ellipse, image_id="img"))
+            box = bounding_rect(ellipse)
+            for _ in range(3):
+                dx = rng.uniform(-12.0, 12.0)
+                dy = rng.uniform(-12.0, 12.0)
+                region = Rect(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
+                dets.append(Detection(region=region, score=0.5, image_id="img"))
+        gts.append(GroundTruth(region=oracles.random_rect(rng), image_id="img"))
+        matrix = iou_matrix(dets, gts, n)
+        want = [[region_iou(d.region, g.region, n).hex() for g in gts] for d in dets]
+        assert [[v.hex() for v in row] for row in matrix] == want
+        assert any(v > 0.0 for row in matrix for v in row)
+        assert any(v == 0.0 for row in matrix for v in row)
+
+
+def _ulps(value, steps):
+    direction = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, direction)
+    return value
+
+
+def _boundary_pool(rng, thresh):
+    """Boxes built to sit at the pruning bounds, with ulp jitter and ties.
+
+    Nested partners with the same height have IoU, width ratio and area
+    ratio all equal to ``thresh`` up to rounding; they come exactly at
+    it and one ulp either side.  Near-duplicates differ by a few ulps,
+    zero-area boxes lie on top of the others, and scores repeat.
+    """
+    scores = [0.9, 0.5, 0.5, rng.random()]
+    boxes = []
+    for _ in range(rng.randint(1, 8)):
+        x = rng.uniform(-100.0, 100.0)
+        y = rng.uniform(-100.0, 100.0)
+        w = rng.uniform(1.0, 50.0)
+        h = rng.uniform(1.0, 50.0)
+        boxes.append((x, y, x + w, y + h))
+        for steps in (0, 1, -1):
+            partner = _ulps(x + w * thresh, steps)
+            if partner >= x:
+                boxes.append((x, y, partner, y + h))
+            boxes.append((x, y, x + w, _ulps(y + h * thresh, steps)))
+        for _ in range(2):
+            boxes.append(tuple(_ulps(v, rng.randint(-3, 3)) for v in (x, y, x + w, y + h)))
+        boxes.append((x, y, x, y + h))
+        boxes.append((x + 0.5 * w, y, x + w, y))
+    rng.shuffle(boxes)
+    return [
+        Detection(region=Rect(x0, y0, max(x0, x1), max(y0, y1)), score=rng.choice(scores), image_id="img")
+        for x0, y0, x1, y1 in boxes
+    ]
+
+
+def _reference_kept(dets, thresh):
+    boxes = np.array(
+        [[d.region.x_min, d.region.y_min, d.region.x_max, d.region.y_max] for d in dets]
+    ).reshape(len(dets), 4)
+    scores = np.array([d.score for d in dets])
+    return oracles.reference_nms_indices(boxes, scores, thresh)
+
+
+def _kept_indices(dets, kept):
+    position = {id(d): i for i, d in enumerate(dets)}
+    return [position[id(d)] for d in kept]
+
+
+def test_nms_matches_reference_on_unquantized_boundary_boxes():
+    rng = random.Random(41)
+    suppressed = 0
+    within_ulps = 0
+    for trial in range(120):
+        thresh = (0.0, 1.0, 0.7, 0.5, rng.random())[trial % 5]
+        dets = _boundary_pool(rng, thresh if thresh > 0.0 else rng.random())
+        kept = _kept_indices(dets, nms(dets, thresh))
+        assert kept == _reference_kept(dets, thresh), (trial, thresh)
+        suppressed += len(dets) - len(kept)
+        if 0.0 < thresh < 1.0:
+            within_ulps += sum(
+                abs(iou_rect(a.region, b.region) - thresh) <= 4 * math.ulp(thresh)
+                for a, b in itertools.combinations(dets, 2)
+            )
+    assert suppressed > 0
+    assert within_ulps > 100
+
+
+def test_nms_matches_reference_on_a_decoded_proposal_pool():
+    rng = random.Random(42)
+    anchors = anchor_grid(24, 18, DEFAULT_ANCHOR_SPEC)
+    scored = [
+        (
+            decode(
+                BoxDelta(
+                    rng.uniform(-0.2, 0.2),
+                    rng.uniform(-0.2, 0.2),
+                    rng.uniform(-0.4, 0.4),
+                    rng.uniform(-0.4, 0.4),
+                ),
+                anchor,
+            ),
+            round(rng.random(), 3),
+        )
+        for anchor in anchors
+    ]
+    dets = [Detection(region=r, score=s, image_id="img") for r, s in top_n(scored, 600)]
+    for thresh in (0.7, 0.5, 0.3):
+        kept = _kept_indices(dets, nms(dets, thresh))
+        assert kept == _reference_kept(dets, thresh)
+        assert 0 < len(kept) < len(dets)
+
+
+def test_nms_outside_the_pruning_range_matches_the_plain_loop():
+    # Sides that overflow the area (NaN IoU, which suppresses), sides
+    # below 1e-125 and thresholds below 1e-50 turn the IoU-bound pruning off.
+    rng = random.Random(44)
+    for trial in range(60):
+        dets = []
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.random()
+            x = rng.uniform(-10.0, 10.0)
+            if kind < 0.3:
+                region = Rect(-1e308 + x, -1e308, 1e308, 1e308 - x)
+            elif kind < 0.6:
+                side = rng.choice([1e-200, 3e-130, 1e-126])
+                region = Rect(x * side, 0.0, (x + rng.uniform(0.5, 2.0)) * side, side)
+            else:
+                region = oracles.random_rect(rng, span=20.0)
+            dets.append(Detection(region=region, score=rng.choice([0.5, rng.random()]), image_id="img"))
+        thresh = rng.choice([0.0, 1e-60, 0.3, 0.7, 1.0])
+        plain = []
+        for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+            if all(iou_rect(dets[i].region, dets[j].region) <= thresh for j in plain):
+                plain.append(i)
+        assert _kept_indices(dets, nms(dets, thresh)) == plain, trial
+
+
+def _count_calls(monkeypatch, module, name, counter):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counter[name] = counter.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_polygon_builds_and_nms_iou_calls_are_pruned(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, matching, "ellipse_to_polygon", counts)
+    _count_calls(monkeypatch, geometry, "ellipse_to_polygon", counts)
+    _count_calls(monkeypatch, geometry, "iou_rect", counts)
+
+    rng = random.Random(43)
+    gts = [GroundTruth(region=oracles.random_ellipse(rng), image_id="img") for _ in range(5)]
+    dets = [
+        Detection(region=oracles.random_rect(rng), score=0.5, image_id="img") for _ in range(12)
+    ]
+    iou_matrix(dets, gts, 64)
+    assert counts["ellipse_to_polygon"] <= len(gts)
+
+    # Pairwise-disjoint boxes on a grid, then nested boxes whose areas grow
+    # by (1 / thresh) ** 1.2 from each to the next while their sides grow
+    # by less than 1 / thresh.
+    grid = [
+        Detection(region=Rect(20.0 * i, 20.0 * j, 20.0 * i + 15.0, 20.0 * j + 15.0),
+                  score=rng.random(), image_id="img")
+        for i in range(15)
+        for j in range(15)
+    ]
+    for thresh in (0.7, 0.5):
+        nested = [
+            Detection(region=Rect(-s, -s, s, s), score=rng.random(), image_id="img")
+            for s in (thresh ** (-0.6 * k) for k in range(40))
+        ]
+        assert len(nms(grid, thresh)) == len(grid)
+        assert len(nms(nested, thresh)) == len(nested)
+    assert counts.get("iou_rect", 0) == 0
