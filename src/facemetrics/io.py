@@ -34,7 +34,7 @@ from typing import NamedTuple, Union
 from ._version import __version__
 from .geometry import Ellipse, Rect
 from .matching import Detection, GroundTruth
-from .metrics import Curve, CurvePoint, EvalDataset, XSemantics, YSemantics
+from .metrics import Curve, CurvePoint, CurvePointError, EvalDataset, XSemantics, YSemantics
 
 __all__ = [
     "ParseError",
@@ -315,11 +315,14 @@ def _semantics(x_name: str, y_name: str, lineno: int) -> tuple[XSemantics, YSema
         raise ParseError(f"unknown curve semantics {x_name!r}/{y_name!r}", lineno) from None
 
 
-def _build_curve(points: list[CurvePoint], x_sem: XSemantics, y_sem: YSemantics, lineno: int) -> Curve:
+def _build_curve(
+    points: list[CurvePoint], x_sem: XSemantics, y_sem: YSemantics, linenos: list[int]
+) -> Curve:
+    """The curve of ``points``; ``linenos`` gives the line each point came from."""
     try:
         return Curve(points=tuple(points), x_semantics=x_sem, y_semantics=y_sem)
-    except ValueError as exc:
-        raise ParseError(f"invalid curve data: {exc}", lineno) from None
+    except CurvePointError as exc:
+        raise ParseError(f"invalid curve data: {exc}", linenos[exc.index]) from None
 
 
 def _curve_from_csv(text: str) -> Curve:
@@ -335,6 +338,7 @@ def _curve_from_csv(text: str) -> Curve:
     if len(lines) < 2 or lines[1].strip() != "x,y,threshold":
         raise ParseError("expected the header row 'x,y,threshold'", 2)
     points = []
+    linenos = []
     for offset, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
@@ -343,7 +347,8 @@ def _curve_from_csv(text: str) -> Curve:
             raise ParseError(f"expected 3 comma-separated values, got {len(cells)}", offset)
         values = _parse_floats(cells, offset)
         points.append(CurvePoint(*values))
-    return _build_curve(points, x_sem, y_sem, 3)
+        linenos.append(offset)
+    return _build_curve(points, x_sem, y_sem, linenos)
 
 
 def _curve_from_json(text: str) -> Curve:
@@ -370,7 +375,7 @@ def _curve_from_json(text: str) -> Curve:
             points.append(CurvePoint(*(float(v) for v in raw)))
         except (TypeError, ValueError):
             raise ParseError(f"non-numeric point {raw!r}", 1) from None
-    return _build_curve(points, x_sem, y_sem, 1)
+    return _build_curve(points, x_sem, y_sem, [1] * len(points))
 
 
 def read_curve(text: str) -> Curve:

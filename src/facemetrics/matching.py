@@ -19,7 +19,11 @@ index and IoU ties by lowest ground-truth index.  Optimal breaks
 total-IoU ties toward the lexicographically smallest set of
 (detection, ground truth) index pairs; ties are resolved in exact
 arithmetic, so equal totals are recognized reliably even though the
-IoU values are floats.
+IoU values are floats.  The tie-break is folded into the integer
+weights, so each connected cluster of admissible pairs (detections and
+ground truths linked through IoUs above the threshold) takes one
+Hungarian solve, cubic in the cluster's size; a cluster of one pair
+takes none.
 """
 
 from __future__ import annotations
@@ -236,43 +240,41 @@ def _scaled_weights(values: Sequence[float]) -> list[int]:
 def _solve_square(cost: list[list[int]]) -> list[int]:
     """Minimum-cost perfect assignment on a square matrix (Hungarian).
 
-    Shortest-augmenting-path formulation with potentials; all arithmetic
-    stays in exact integers.  Returns the assigned column per row.
+    Shortest-augmenting-path formulation with potentials (Kuhn 1955;
+    Jonker & Volgenant 1987); all arithmetic stays in exact integers, of
+    any width.  Each augmentation's first scan, from the virtual column 0,
+    reaches every column, so the slacks start from that scan instead of
+    from an infinite float.  Returns the assigned column per row.
     """
     n = len(cost)
-    inf = float("inf")
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     p = [0] * (n + 1)  # p[j]: 1-based row matched to column j, 0 = free
-    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
-        j0 = 0
-        minv: list[float] = [inf] * (n + 1)
-        used = [False] * (n + 1)
+        row = cost[i - 1]
+        minv = [0] + [row[j - 1] - u[i] - v[j] for j in range(1, n + 1)]
+        way = [0] * (n + 1)
+        used = [True] + [False] * n
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
+            delta, j0 = min((minv[j], j) for j in range(1, n + 1) if not used[j])
             for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
                 else:
                     minv[j] -= delta
-            j0 = j1
             if p[j0] == 0:
                 break
+            used[j0] = True
+            i0 = p[j0]
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]
@@ -284,24 +286,53 @@ def _solve_square(cost: list[list[int]]) -> list[int]:
     return columns
 
 
-def _max_total(items: Sequence[tuple[int, int, int]]) -> int:
-    """Maximum achievable weight total over one-to-one pairs.
+# An admissible pair: (row, col, IoU, IoU as an exact integer weight).
+_Candidate = tuple[int, int, float, int]
 
-    ``items`` are (row, col, integer weight) candidates with positive
-    weights; rows/cols absent from the list simply stay unmatched.
+
+def _components(pairs: Sequence[_Candidate], n_rows: int) -> list[list[_Candidate]]:
+    """Pairs grouped by connected component of the row/column graph they form.
+
+    Components keep the input order of their pairs.
     """
-    if not items:
-        return 0
-    rows = sorted({i for i, _, _ in items})
-    cols = sorted({j for _, j, _ in items})
+    root = list(range(n_rows + 1 + max(j for _, j, _, _ in pairs)))
+
+    def find(node: int) -> int:
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    for i, j, _, _ in pairs:
+        root[find(i)] = find(n_rows + j)
+    groups: dict[int, list[_Candidate]] = {}
+    for pair in pairs:
+        groups.setdefault(find(pair[0]), []).append(pair)
+    return list(groups.values())
+
+
+def _component_optimum(pairs: Sequence[_Candidate]) -> list[_Candidate]:
+    """The one-to-one subset of ``pairs`` that the tie-broken weights favour.
+
+    ``pairs`` are one component's candidates, in row-major order.  The
+    pair of rank ``r`` among ``n`` gets weight ``(w << n) + (1 << (n - 1 - r))``.
+    Any set's bonuses sum to less than ``2**n``, so the total weight decides
+    first; among equal totals, the set holding the smallest pair of the
+    symmetric difference wins.  Distinct sets thus have distinct scores, and
+    the unique optimum is the lexicographically smallest maximum-total set.
+    """
+    rows = sorted({i for i, _, _, _ in pairs})
+    cols = sorted({j for _, j, _, _ in pairs})
     row_index = {r: k for k, r in enumerate(rows)}
     col_index = {c: k for k, c in enumerate(cols)}
-    n = max(len(rows), len(cols))
-    cost = [[0] * n for _ in range(n)]
-    for i, j, w in items:
-        cost[row_index[i]][col_index[j]] = -w
+    n = len(pairs)
+    size = max(len(rows), len(cols))
+    # Cells outside ``pairs`` cost 0, the same as leaving the row unmatched.
+    cost = [[0] * size for _ in range(size)]
+    for rank, (i, j, _, w) in enumerate(pairs):
+        cost[row_index[i]][col_index[j]] = -((w << n) + (1 << (n - 1 - rank)))
     assigned = _solve_square(cost)
-    return -sum(cost[r][assigned[r]] for r in range(len(rows)))
+    return [pair for pair in pairs if assigned[row_index[pair[0]]] == col_index[pair[1]]]
 
 
 def optimal_assignment(
@@ -311,10 +342,14 @@ def optimal_assignment(
     """Assignment maximizing total IoU over admissible pairs.
 
     Among equal-total assignments, returns the lexicographically
-    smallest set of (row, col) pairs.  The refinement loop fixes pairs
-    in lexicographic order, keeping a candidate only when the optimum is
-    still reachable through strictly larger pairs; totals are compared
-    in exact integer arithmetic.
+    smallest set of (row, col) pairs, sorted.  Totals are compared in
+    exact integer arithmetic.  The admissible pairs split into connected
+    components that share no row or column; each component with two or
+    more pairs takes one Hungarian solve on weights that fold the
+    tie-break in (:func:`_component_optimum`).  The tie-break holds per
+    component: with positive weights no optimum is a prefix of another,
+    so the lexicographic order of two optima is settled by the smallest
+    pair in their symmetric difference.
     """
     admissible = [
         (i, j, value)
@@ -325,21 +360,13 @@ def optimal_assignment(
     if not admissible:
         return []
     weights = _scaled_weights([value for _, _, value in admissible])
-    items = [(i, j, w, value) for (i, j, value), w in zip(admissible, weights)]
-    target = _max_total([(i, j, w) for i, j, w, _ in items])
-    chosen: list[tuple[int, int, float]] = []
-    accumulated = 0
-    available = items
-    while accumulated < target:
-        for idx, (i, j, w, value) in enumerate(available):
-            rest = [q for q in available[idx + 1 :] if q[0] != i and q[1] != j]
-            if accumulated + w + _max_total([(r, c, rw) for r, c, rw, _ in rest]) == target:
-                chosen.append((i, j, value))
-                accumulated += w
-                available = rest
-                break
-        else:  # pragma: no cover - the invariant guarantees progress
-            raise AssertionError("optimal assignment refinement failed to reach the optimum")
+    items = [(i, j, value, w) for (i, j, value), w in zip(admissible, weights)]
+    chosen = []
+    for component in _components(items, len(matrix)):
+        if len(component) > 1:
+            component = _component_optimum(component)
+        chosen.extend((i, j, value) for i, j, value, _ in component)
+    chosen.sort()
     return chosen
 
 

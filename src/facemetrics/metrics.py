@@ -3,14 +3,16 @@
 Curve construction sweeps thresholds over exactly the distinct detection
 scores, plus +infinity for the empty operating point, with no binning.
 The sweep is one pass per image followed by one merge.  Each image is
-matched at most once per own distinct score: the greedy matcher claims
+matched at most once per own distinct score.  The greedy matcher claims
 in score order, so one full pass gives the pairs at every cut as a
-prefix; the optimal matcher is re-solved only at the image's own scores,
-since its kept set does not change in between.  Each image emits one
-event per own distinct score (the change in its TP count, FP count and
-IoU total), and the events are summed by score and accumulated down the
-global threshold list.  Work and memory grow with the detections, not
-with images times distinct scores.
+prefix.  The optimal matcher is re-solved at an own score only when a
+detection newly kept there has a pair above the matching IoU threshold:
+the kept set does not change between own scores, and a row without such
+a pair cannot change the optimum.  Each image emits one event per own
+distinct score (the change in its TP count, FP count and IoU total), and
+the events are summed by score and accumulated down the global threshold
+list.  Work and memory grow with the detections, not with images times
+distinct scores.
 
 True positives are matched detections; everything else kept at the
 threshold is a false positive.  The discrete criterion counts each
@@ -52,6 +54,7 @@ __all__ = [
     "XSemantics",
     "YSemantics",
     "CurvePoint",
+    "CurvePointError",
     "Curve",
     "ImageEntries",
     "EvalDataset",
@@ -87,6 +90,14 @@ class CurvePoint(NamedTuple):
     threshold: float
 
 
+class CurvePointError(ValueError):
+    """A curve point that breaks a curve invariant; ``index`` is its position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True, slots=True)
 class Curve:
     """Ordered operating points with axis semantics."""
@@ -98,18 +109,18 @@ class Curve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(CurvePoint(*p) for p in self.points))
         previous = None
-        for point in self.points:
+        for index, point in enumerate(self.points):
             if not 0.0 <= point.y <= 1.0:
-                raise ValueError(f"curve y values must be in [0, 1], got {point.y!r}")
+                raise CurvePointError(f"curve y values must be in [0, 1], got {point.y!r}", index)
             if previous is not None:
                 if point.x < previous.x:
-                    raise ValueError("curve points must be sorted by ascending x")
+                    raise CurvePointError("curve points must be sorted by ascending x", index)
                 if (
                     self.x_semantics.value in _ROC_X
                     and point.x > previous.x
                     and point.threshold > previous.threshold
                 ):
-                    raise ValueError("ROC thresholds must be non-increasing along x")
+                    raise CurvePointError("ROC thresholds must be non-increasing along x", index)
             previous = point
 
 
@@ -216,16 +227,22 @@ def _image_events(
     ious: list[float] = []
     events = []
     tp = fp = iou_sum = 0
+    # A newly kept row without admissible pairs leaves the optimal pairs as
+    # they were (the other rows keep their order), so the optimal matcher
+    # is re-solved only after a row with one.
+    stale = False
     for kept_count, i in enumerate(by_score, start=1):
         if i in matched:
             ious.append(matched[i])
+        elif matcher == "optimal" and not stale:
+            stale = any(iou > iou_threshold for iou in matrix[i])
         score = dets[i].score
         if kept_count < len(dets) and dets[by_score[kept_count]].score == score:
             continue
-        if matcher == "optimal":
-            # The kept set changes only at the image's own scores.
+        if stale:
             kept = [matrix[k] for k in range(len(dets)) if dets[k].score >= score]
             ious = [iou for _, _, iou in optimal_assignment(kept, iou_threshold)]
+            stale = False
         new_sum = _exact(math.fsum(ious))
         new_tp = len(ious)
         new_fp = kept_count - new_tp

@@ -303,6 +303,24 @@ class TestCurveSerialization:
         with pytest.raises(ParseError):
             read_curve(text)
 
+    def test_read_curve_reports_the_line_of_an_invalid_point(self):
+        lines = write_curve(_sample_curve(), format="csv").splitlines()
+        assert lines[4:] == ["1,0.5,0.8", "1,1,0.7"]
+        cases = [
+            (4, "1,1.6,0.8", 5, "y values"),
+            (5, "0.5,1,0.7", 6, "ascending x"),
+            (4, "1,0.5,0.95", 5, "thresholds"),
+        ]
+        for index, row, line, reason in cases:
+            bad = lines[:index] + [row] + lines[index + 1 :]
+            with pytest.raises(ParseError, match=reason) as excinfo:
+                read_curve("\n".join(bad) + "\n")
+            assert excinfo.value.line == line
+        # Blank lines still count.
+        with pytest.raises(ParseError) as excinfo:
+            read_curve("\n".join(lines[:5] + ["", "0.5,1,0.7"]) + "\n")
+        assert excinfo.value.line == 7
+
     def test_read_curve_rejects_malformed_json(self):
         with pytest.raises(ParseError):
             read_curve('{"points": [')

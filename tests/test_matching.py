@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import facemetrics.matching
 from facemetrics.geometry import Ellipse, Rect, iou_ellipse_rect, iou_rect
 from facemetrics.matching import (
     Detection,
@@ -254,3 +255,108 @@ def test_matchers_accept_ellipse_ground_truths():
     outcome = match_greedy(dets, gts, 0.5)
     assert outcome.pairs[0].iou == pytest.approx(math.pi / 4.0, abs=1e-4)
     assert match_optimal(dets, gts, 0.5).pairs == outcome.pairs
+
+
+def _clustered_matrix(rng):
+    """Up to 8x10 quantized IoUs in several clusters that share no row or column."""
+    n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 10)
+    n_clusters = rng.randint(1, 4)
+    row_cluster = [rng.randrange(n_clusters) for _ in range(n_rows)]
+    col_cluster = [rng.randrange(n_clusters) for _ in range(n_cols)]
+    # Sparse clusters of few distinct values, so that exact ties are common.
+    values = [0.0, 0.0, 0.0, 0.25, 0.25, 0.5, 0.75]
+    return [
+        [rng.choice(values) if row_cluster[i] == col_cluster[j] else 0.0 for j in range(n_cols)]
+        for i in range(n_rows)
+    ]
+
+
+def _optimal_sets(matrix, iou_threshold):
+    """How many admissible assignments reach the maximum total, and their sizes.
+
+    Dynamic programming over claimed-column masks, keeping per mask the best
+    exact total and how many pair sets reach it.
+    """
+    scaled, _ = oracles.scale_rows_to_ints(matrix)
+    layer = {0: (0, 1)}
+    for i, row in enumerate(matrix):
+        out = dict(layer)
+        for mask, (total, count) in layer.items():
+            for j, value in enumerate(row):
+                if mask & (1 << j) or not value > iou_threshold:
+                    continue
+                key = mask | (1 << j)
+                candidate = total + scaled[i][j]
+                best, ways = out.get(key, (-1, 0))
+                if candidate > best:
+                    out[key] = (candidate, count)
+                elif candidate == best:
+                    out[key] = (best, ways + count)
+        layer = out
+    best_total = max(total for total, _ in layer.values())
+    optima = [(mask, count) for mask, (total, count) in layer.items() if total == best_total]
+    return sum(count for _, count in optima), {bin(mask).count("1") for mask, _ in optima}
+
+
+def _admissible_components(matrix, iou_threshold):
+    """Admissible pairs grouped into connected components (shared row or column)."""
+    unseen = {
+        (i, j) for i, row in enumerate(matrix) for j, value in enumerate(row) if value > iou_threshold
+    }
+    components = []
+    while unseen:
+        stack, component = [unseen.pop()], []
+        while stack:
+            i, j = stack.pop()
+            component.append((i, j))
+            linked = {e for e in unseen if e[0] == i or e[1] == j}
+            unseen -= linked
+            stack.extend(linked)
+        components.append(component)
+    return components
+
+
+def test_optimal_assignment_matches_exhaustive_on_tied_clusters():
+    rng = random.Random(2024)
+    tied = sizes_tied = split = 0
+    for _ in range(400):
+        matrix = _clustered_matrix(rng)
+        for threshold in (0.0, 0.3, 0.5):
+            pairs = optimal_assignment(matrix, threshold)
+            best_pairs, best_total, scaled = oracles.exhaustive_best_assignment(matrix, threshold)
+            assert tuple((i, j) for i, j, _ in pairs) == best_pairs
+            assert all(value == matrix[i][j] for i, j, value in pairs)
+            assert sum(scaled[i][j] for i, j, _ in pairs) == best_total
+            n_optima, sizes = _optimal_sets(matrix, threshold)
+            tied += n_optima >= 2
+            sizes_tied += threshold == 0.0 and len(sizes) >= 2
+            split += len(_admissible_components(matrix, threshold)) >= 2
+    # The tie-break and the split into components were exercised.
+    assert tied >= 100 and sizes_tied >= 5 and split >= 100, (tied, sizes_tied, split)
+
+
+def test_optimal_assignment_large_tied_component():
+    # 1,600 admissible pairs of equal IoU: every perfect pairing ties, and
+    # the tie-break weights are 1,600 bits wider than the IoU weights.
+    n = 40
+    matrix = [[0.5] * n for _ in range(n)]
+    assert optimal_assignment(matrix, 0.0) == [(i, i, 0.5) for i in range(n)]
+
+
+def test_optimal_assignment_solves_each_component_once(monkeypatch):
+    solved = []
+    solve = facemetrics.matching._solve_square
+
+    def counting(cost):
+        solved.append(len(cost))
+        return solve(cost)
+
+    monkeypatch.setattr(facemetrics.matching, "_solve_square", counting)
+    rng = random.Random(11)
+    for _ in range(200):
+        matrix = _clustered_matrix(rng)
+        for threshold in (0.0, 0.3, 0.5):
+            solved.clear()
+            optimal_assignment(matrix, threshold)
+            components = _admissible_components(matrix, threshold)
+            assert len(solved) <= sum(1 for c in components if len(c) >= 2)

@@ -6,7 +6,7 @@ import pytest
 
 import facemetrics.metrics
 from facemetrics.geometry import Rect
-from facemetrics.matching import Detection, GroundTruth
+from facemetrics.matching import Detection, GroundTruth, iou_matrix
 from facemetrics.metrics import (
     Curve,
     CurvePoint,
@@ -238,6 +238,7 @@ def test_roc_matches_each_image_once_per_own_score(monkeypatch):
     greedy_calls = _count_calls(monkeypatch, "greedy_assignment")
     optimal_calls = _count_calls(monkeypatch, "optimal_assignment")
     rng = random.Random(5)
+    skipped = 0
     for _ in range(20):
         ds = oracles.random_mini_dataset(rng, max_images=6, max_total_dets=20)
         entries = ds.images.values()
@@ -247,9 +248,23 @@ def test_roc_matches_each_image_once_per_own_score(monkeypatch):
         greedy_calls.clear()
         optimal_calls.clear()
         discrete_roc(ds, "optimal")
-        own_scores = sum(len({d.score for d in e.detections}) for e in entries)
-        assert len(optimal_calls) <= own_scores
+        # One solve per own distinct score that newly keeps a detection
+        # with a pair above the default IoU threshold of 0.5.
+        useful_scores = sum(
+            len(
+                {
+                    det.score
+                    for det, row in zip(e.detections, iou_matrix(e.detections, e.ground_truths))
+                    if any(iou > 0.5 for iou in row)
+                }
+            )
+            for e in entries
+        )
+        assert len(optimal_calls) == useful_scores
         assert not greedy_calls
+        skipped += sum(len({d.score for d in e.detections}) for e in entries) - useful_scores
+    # Scores whose detections have no admissible pair came up, and were skipped.
+    assert skipped >= 10
 
 
 def test_proposal_recall_worked_example():
