@@ -7,8 +7,8 @@ plus strict parsers and canonical writers for the region-list and curve
 file formats.  The :mod:`facemetrics.cli` module wraps it all in a
 ``facemetrics`` command.
 
-All computation is deterministic: the same inputs give bit-identical
-results regardless of thread count.
+All computation is deterministic and runs on one thread: the same
+inputs give bit-identical results.
 """
 
 from ._version import __version__

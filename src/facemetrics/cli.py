@@ -26,9 +26,10 @@ output regardless of ``--threads``.
 Exit status: 0 on success, 1 for bad input or flags, 2 if an internal
 invariant breaks (a bug, not a usage problem).
 
-``--threads`` (default: ``FACEMETRICS_THREADS``, else 1) is accepted
-and validated for compatibility, but every subcommand runs on one
-thread; a value below 1 is an input error.
+Each flag's destination is a :class:`RunConfig` field, and a flag left
+out keeps that field's default, so every default is stated once.
+``--threads`` is accepted for compatibility and must be at least 1;
+every subcommand runs on one thread and the value changes nothing.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ _RESIZE_MODES = ("train", "test")
 _FORMATS = ("csv", "json")
 _ANGLE_UNITS = ("radians", "degrees")
 
-_DEFAULT_TOP_N = (100, 300, 500, 1000)
-_DEFAULT_RECALL_GRID = tuple(i / 100 for i in range(50, 100, 5))
-
 _MODE_BUILDERS = {
     "discrete": discrete_roc,
     "continuous": continuous_roc,
@@ -94,21 +92,23 @@ _MODE_BUILDERS = {
 class RunConfig:
     """Validated flag set for one invocation.
 
-    One type covers every subcommand; fields a subcommand does not use
-    keep their defaults.  Construction performs all validation, so a
-    ``RunConfig`` that exists is safe to run: nothing is read, computed,
-    or written before the whole configuration has been checked.
+    One type covers every subcommand; each field is a flag's
+    destination, and its default is that flag's default (fields a
+    subcommand does not use keep theirs).  Construction performs all
+    validation, so a ``RunConfig`` that exists is safe to run: nothing
+    is read, computed, or written before the whole configuration has
+    been checked.
     """
 
     subcommand: str
     gt_path: str | None = None
     det_path: str | None = None
-    input_path: str | None = None
+    input_path: str = "-"
     mode: str = "discrete"
     matcher: str = "greedy"
     iou_threshold: float = 0.5
-    n_values: tuple[int, ...] = _DEFAULT_TOP_N
-    recall_thresholds: tuple[float, ...] = _DEFAULT_RECALL_GRID
+    n_values: tuple[int, ...] = (100, 300, 500, 1000)
+    recall_thresholds: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
     top_cap: int | None = None
     query_x: float | None = None
     out_path: str = "-"
@@ -261,7 +261,6 @@ def cmd_eval(config: RunConfig) -> int:
         config.matcher,
         iou_threshold=config.iou_threshold,
         polygon_vertices=config.ellipse_n,
-        threads=config.threads,
     )
     text = write_curve(
         curve, config.out_format, dataset_name=config.dataset_name, matcher=config.matcher
@@ -278,7 +277,6 @@ def cmd_proposal_recall(config: RunConfig) -> int:
         config.n_values,
         config.recall_thresholds,
         polygon_vertices=config.ellipse_n,
-        threads=config.threads,
     )
     for n, curve in zip(config.n_values, curves):
         text = write_curve(
@@ -331,18 +329,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get("FACEMETRICS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"FACEMETRICS_THREADS must be an integer, got {raw!r}") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with status 1, not 2."""
 
@@ -352,38 +338,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_io_flags(sub: argparse.ArgumentParser, *, formats: bool) -> None:
-    sub.add_argument("--out", default="-", help="output path, or - for stdout (default)")
+    sub.add_argument(
+        "--out", dest="out_path", metavar="OUT", help="output path, or - for stdout (default)"
+    )
     if formats:
         sub.add_argument(
-            "--format", default="csv", choices=_FORMATS, help="curve file format"
+            "--format", dest="out_format", choices=_FORMATS, help="curve file format"
         )
 
 
 def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gt", required=True, help="ground-truth region file, or - for stdin")
-    sub.add_argument("--det", required=True, help="detection region file, or - for stdin")
     sub.add_argument(
-        "--angle-unit",
-        default="radians",
-        choices=_ANGLE_UNITS,
-        help="unit of ellipse angles in the input files",
+        "--gt",
+        dest="gt_path",
+        metavar="GT",
+        required=True,
+        help="ground-truth region file, or - for stdin",
     )
     sub.add_argument(
-        "--ellipse-n",
-        type=int,
-        default=1024,
-        help="vertex count for polygonal ellipse areas (default 1024)",
+        "--det",
+        dest="det_path",
+        metavar="DET",
+        required=True,
+        help="detection region file, or - for stdin",
+    )
+    sub.add_argument(
+        "--angle-unit", choices=_ANGLE_UNITS, help="unit of ellipse angles in the input files"
+    )
+    sub.add_argument(
+        "--ellipse-n", type=int, help="vertex count for polygonal ellipse areas (default 1024)"
     )
     sub.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="accepted for compatibility and must be >= 1 "
-        "(default: FACEMETRICS_THREADS, else 1); work runs on one thread",
+        help="accepted for compatibility and must be >= 1 (default 1); "
+        "work runs on one thread",
     )
-    sub.add_argument(
-        "--dataset-name", default="", help="dataset label recorded in JSON output"
-    )
+    sub.add_argument("--dataset-name", help="dataset label recorded in JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,109 +386,138 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
-    sub = commands.add_parser(
-        "eval", help="match detections to ground truths and write an ROC curve"
-    )
+    # Flags left out stay out of the namespace, so RunConfig's defaults apply.
+    def add_command(name: str, **kwargs) -> argparse.ArgumentParser:
+        return commands.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
+
+    sub = add_command("eval", help="match detections to ground truths and write an ROC curve")
     _add_dataset_flags(sub)
     sub.add_argument(
         "--mode",
-        default="discrete",
         choices=_EVAL_MODES,
         help="discrete: matches count 1; continuous: matches contribute their IoU; "
         "normalized: discrete with false positives divided by the image count",
     )
+    sub.add_argument("--matcher", choices=MATCHERS, help="assignment strategy")
     sub.add_argument(
-        "--matcher", default="greedy", choices=MATCHERS, help="assignment strategy"
-    )
-    sub.add_argument(
-        "--iou", type=float, default=0.5, help="IoU a match must exceed (default 0.5)"
+        "--iou",
+        dest="iou_threshold",
+        metavar="IOU",
+        type=float,
+        help="IoU a match must exceed (default 0.5)",
     )
     sub.add_argument(
         "--top",
+        dest="top_cap",
+        metavar="TOP",
         type=int,
-        default=None,
         help="evaluate only each image's N best-scored detections",
     )
     sub.add_argument(
         "--query-fp",
+        dest="query_x",
+        metavar="QUERY_FP",
         type=float,
-        default=None,
         help="also report the curve's y value at this x (false-positive budget)",
     )
     _add_io_flags(sub, formats=True)
     sub.set_defaults(handler=cmd_eval)
 
-    sub = commands.add_parser(
+    sub = add_command(
         "proposal-recall",
         help="detection rate of the top-N proposals vs IoU threshold, per N",
     )
     _add_dataset_flags(sub)
     sub.add_argument(
         "--top-n",
+        dest="n_values",
         type=_int_list,
-        default=_DEFAULT_TOP_N,
         metavar="N[,N...]",
         help="proposal budgets, one output curve each (default 100,300,500,1000)",
     )
     sub.add_argument(
         "--iou-thresholds",
+        dest="recall_thresholds",
         type=_float_list,
-        default=_DEFAULT_RECALL_GRID,
         metavar="T[,T...]",
         help="IoU thresholds to sweep (default 0.5,0.55,...,0.95)",
     )
     sub.add_argument(
         "--out",
-        default="-",
+        dest="out_path",
+        metavar="OUT",
         help="output path prefix: each curve goes to <prefix><N>.<format>; "
         "- (stdout) is allowed for a single N",
     )
-    sub.add_argument("--format", default="csv", choices=_FORMATS, help="curve file format")
+    sub.add_argument(
+        "--format", dest="out_format", choices=_FORMATS, help="curve file format"
+    )
     sub.set_defaults(handler=cmd_proposal_recall)
 
-    sub = commands.add_parser(
-        "nms", help="suppress overlapping boxes in a scored-rectangle file"
-    )
+    sub = add_command("nms", help="suppress overlapping boxes in a scored-rectangle file")
     sub.add_argument(
-        "--in", dest="input_path", default="-", help="scored-rectangle file, or - for stdin"
+        "--in", dest="input_path", help="scored-rectangle file, or - for stdin"
     )
     sub.add_argument(
         "--iou",
+        dest="iou_threshold",
+        metavar="IOU",
         type=float,
-        default=0.5,
         help="suppress a box overlapping a kept one by more than this (default 0.5)",
     )
     _add_io_flags(sub, formats=False)
     sub.set_defaults(handler=cmd_nms)
 
-    sub = commands.add_parser("anchors", help="emit an anchor grid, one box per line")
+    sub = add_command("anchors", help="emit an anchor grid, one box per line")
     sub.add_argument(
         "--scales",
         type=_float_list,
-        default=(128.0, 256.0, 512.0),
         metavar="S[,S...]",
         help="anchor scales in pixels (default 128,256,512)",
     )
     sub.add_argument(
         "--ratios",
         type=_float_list,
-        default=(1.0, 2.0, 0.5),
         metavar="R[,R...]",
         help="height/width ratios (default 1,2,0.5)",
     )
+    sub.add_argument("--stride", type=float, help="feature-cell size in pixels (default 16)")
     sub.add_argument(
-        "--stride", type=float, default=16.0, help="feature-cell size in pixels (default 16)"
+        "--width",
+        dest="grid_w",
+        metavar="WIDTH",
+        type=int,
+        required=True,
+        help="feature-grid width in cells",
     )
-    sub.add_argument("--width", type=int, required=True, help="feature-grid width in cells")
-    sub.add_argument("--height", type=int, required=True, help="feature-grid height in cells")
+    sub.add_argument(
+        "--height",
+        dest="grid_h",
+        metavar="HEIGHT",
+        type=int,
+        required=True,
+        help="feature-grid height in cells",
+    )
     _add_io_flags(sub, formats=False)
     sub.set_defaults(handler=cmd_anchors)
 
-    sub = commands.add_parser(
-        "resize-plan", help="print the uniform rescale factor for an image size"
+    sub = add_command("resize-plan", help="print the uniform rescale factor for an image size")
+    sub.add_argument(
+        "--width",
+        dest="image_w",
+        metavar="WIDTH",
+        type=float,
+        required=True,
+        help="image width in pixels",
     )
-    sub.add_argument("--width", type=float, required=True, help="image width in pixels")
-    sub.add_argument("--height", type=float, required=True, help="image height in pixels")
+    sub.add_argument(
+        "--height",
+        dest="image_h",
+        metavar="HEIGHT",
+        type=float,
+        required=True,
+        help="image height in pixels",
+    )
     sub.add_argument(
         "--mode",
         required=True,
@@ -510,41 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    data = vars(args)
-    return RunConfig(
-        subcommand=args.subcommand,
-        gt_path=data.get("gt"),
-        det_path=data.get("det"),
-        input_path=data.get("input_path"),
-        mode=data.get("mode", "discrete"),
-        matcher=data.get("matcher", "greedy"),
-        iou_threshold=data.get("iou", 0.5),
-        n_values=tuple(data.get("top_n", _DEFAULT_TOP_N)),
-        recall_thresholds=tuple(data.get("iou_thresholds", _DEFAULT_RECALL_GRID)),
-        top_cap=data.get("top"),
-        query_x=data.get("query_fp"),
-        out_path=args.out,
-        out_format=data.get("format", "csv"),
-        ellipse_n=data.get("ellipse_n", 1024),
-        angle_unit=data.get("angle_unit", "radians"),
-        threads=_resolve_threads(data.get("threads")),
-        dataset_name=data.get("dataset_name", ""),
-        scales=tuple(data.get("scales", (128.0, 256.0, 512.0))),
-        ratios=tuple(data.get("ratios", (1.0, 2.0, 0.5))),
-        stride=data.get("stride", 16.0),
-        grid_w=data.get("width", 0) if args.subcommand == "anchors" else 0,
-        grid_h=data.get("height", 0) if args.subcommand == "anchors" else 0,
-        image_w=data.get("width", 0.0) if args.subcommand == "resize-plan" else 0.0,
-        image_h=data.get("height", 0.0) if args.subcommand == "resize-plan" else 0.0,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    handler = flags.pop("handler")
     try:
-        config = _config_from_args(args)
-        return args.handler(config)
+        return handler(RunConfig(**flags))
     except (ParseError, ValueError, OSError) as exc:
         print(f"facemetrics: error: {exc}", file=sys.stderr)
         return 1

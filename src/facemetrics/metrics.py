@@ -30,8 +30,6 @@ changes of the rounded per-image totals as exact integers, which are
 rounded once per threshold, so no total depends on the order it was
 summed in.  Score ties are broken by input index,
 so shuffling detections with *distinct* scores never changes any curve.
-The ``threads`` argument is validated but runs nothing in parallel;
-results never depend on it.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .matching import (
     Detection,
     GroundTruth,
+    _check_threshold,
     greedy_assignment,
     greedy_assignment_by_iou,
     iou_matrix,
@@ -168,11 +167,6 @@ class EvalDataset:
         return cls(images=built, total_gt_count=total)
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def _check_matcher(matcher: str) -> None:
     if matcher not in MATCHERS:
         raise ValueError(f"matcher must be one of {MATCHERS}, got {matcher!r}")
@@ -290,11 +284,10 @@ def _roc_curve(
     y_semantics: YSemantics,
     iou_threshold: float,
     polygon_vertices: int,
-    threads: int,
 ) -> Curve:
     _check_dataset(ds)
     _check_matcher(matcher)
-    _check_threads(threads)
+    _check_threshold(iou_threshold)
     n_images = len(ds.images)
     points = []
     for threshold, tp, fp, iou_sum in _sweep_totals(ds, matcher, iou_threshold, polygon_vertices):
@@ -315,7 +308,6 @@ def discrete_roc(
     *,
     iou_threshold: float = 0.5,
     polygon_vertices: int = 1024,
-    threads: int = 1,
 ) -> Curve:
     """ROC over total false-positive count; each match counts as 1."""
     return _roc_curve(
@@ -325,7 +317,6 @@ def discrete_roc(
         YSemantics.TPR_DISCRETE,
         iou_threshold,
         polygon_vertices,
-        threads,
     )
 
 
@@ -335,7 +326,6 @@ def continuous_roc(
     *,
     iou_threshold: float = 0.5,
     polygon_vertices: int = 1024,
-    threads: int = 1,
 ) -> Curve:
     """ROC where each qualifying match contributes its IoU instead of 1."""
     return _roc_curve(
@@ -345,7 +335,6 @@ def continuous_roc(
         YSemantics.TPR_CONTINUOUS,
         iou_threshold,
         polygon_vertices,
-        threads,
     )
 
 
@@ -355,7 +344,6 @@ def normalized_fp_roc(
     *,
     iou_threshold: float = 0.5,
     polygon_vertices: int = 1024,
-    threads: int = 1,
 ) -> Curve:
     """Discrete ROC with false positives divided by the image count."""
     return _roc_curve(
@@ -365,7 +353,6 @@ def normalized_fp_roc(
         YSemantics.TPR_DISCRETE,
         iou_threshold,
         polygon_vertices,
-        threads,
     )
 
 
@@ -400,7 +387,6 @@ def proposal_recall(
     iou_thresholds: Sequence[float],
     *,
     polygon_vertices: int = 1024,
-    threads: int = 1,
 ) -> list[Curve]:
     """Detection rate of the top-N proposals per image, by IoU threshold.
 
@@ -416,7 +402,6 @@ def proposal_recall(
         raise ValueError(f"n_values must be non-negative, got {list(n_values)}")
     if any(not 0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
-    _check_threads(threads)
     thresholds = sorted(iou_thresholds)
     per_image = [
         _image_recall_counts(entry, n_values, thresholds, polygon_vertices)

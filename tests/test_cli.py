@@ -1,5 +1,6 @@
 """End-to-end tests for the ``facemetrics`` command-line interface."""
 
+import dataclasses
 import io
 import json
 import subprocess
@@ -18,6 +19,22 @@ GT_PATH = str(DATA_DIR / "synthetic_gt.txt")
 DET_PATH = str(DATA_DIR / "synthetic_det.txt")
 
 TWO_BOXES = "0 0 10 10 0.9\n1 1 10 10 0.8\n"
+
+# Each subcommand's required flags, and the RunConfig fields they set.
+REQUIRED_FLAGS = {
+    "eval": (["--gt", "g", "--det", "d"], {"gt_path": "g", "det_path": "d"}),
+    "proposal-recall": (["--gt", "g", "--det", "d"], {"gt_path": "g", "det_path": "d"}),
+    "nms": ([], {}),
+    "anchors": (["--width", "3", "--height", "2"], {"grid_w": 3, "grid_h": 2}),
+    "resize-plan": (
+        ["--width", "3", "--height", "2", "--mode", "test"],
+        {"image_w": 3.0, "image_h": 2.0, "mode": "test"},
+    ),
+}
+
+
+def subcommand_parsers(parser):
+    return parser._subparsers._group_actions[0].choices
 
 
 def fixture_curve(mode="discrete", matcher="greedy"):
@@ -318,36 +335,55 @@ class TestExitCodes:
 
 
 class TestThreadsResolution:
-    def test_env_var_sets_the_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("FACEMETRICS_THREADS", "4")
-        assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH]) == 0
-        baseline = capsys.readouterr().out
-        monkeypatch.setenv("FACEMETRICS_THREADS", "1")
-        assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH]) == 0
-        assert capsys.readouterr().out == baseline
+    def eval_with_env(self, monkeypatch, capsys, value, *flags):
+        if value is None:
+            monkeypatch.delenv("FACEMETRICS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FACEMETRICS_THREADS", value)
+        assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH, *flags]) == 0
+        return capsys.readouterr()
 
-    def test_flag_beats_env_var(self, monkeypatch, capsys):
-        monkeypatch.setenv("FACEMETRICS_THREADS", "0")  # invalid, but flag wins
-        assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH, "--threads", "2"]) == 0
-        capsys.readouterr()
+    def test_env_var_does_not_set_the_default(self, monkeypatch, capsys):
+        baseline = self.eval_with_env(monkeypatch, capsys, None)
+        assert self.eval_with_env(monkeypatch, capsys, "4") == baseline
 
-    def test_bad_env_var_returns_1(self, monkeypatch, capsys):
-        monkeypatch.setenv("FACEMETRICS_THREADS", "many")
-        assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH]) == 1
-        assert "FACEMETRICS_THREADS" in capsys.readouterr().err
+    def test_invalid_env_var_is_ignored(self, monkeypatch, capsys):
+        baseline = self.eval_with_env(monkeypatch, capsys, None)
+        assert self.eval_with_env(monkeypatch, capsys, "0") == baseline
+        assert self.eval_with_env(monkeypatch, capsys, "0", "--threads", "2") == baseline
+
+    def test_non_integer_env_var_is_ignored(self, monkeypatch, capsys):
+        baseline = self.eval_with_env(monkeypatch, capsys, None)
+        assert self.eval_with_env(monkeypatch, capsys, "many") == baseline
 
     def test_zero_threads_flag_returns_1(self, capsys):
         assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH, "--threads", "0"]) == 1
         assert "--threads" in capsys.readouterr().err
 
 
+class TestFlagsMatchRunConfig:
+    def test_every_dest_is_a_field(self):
+        fields = {field.name for field in dataclasses.fields(RunConfig)}
+        parser = cli.build_parser()
+        assert {a.dest for a in parser._actions} - {"help", "version"} <= fields
+        for name, sub in subcommand_parsers(parser).items():
+            dests = {a.dest for a in sub._actions} - {"help"}
+            assert dests <= fields, f"{name}: {sorted(dests - fields)} are not RunConfig fields"
+
+    def test_required_flags_alone_leave_the_rest_to_run_config_defaults(self):
+        parser = cli.build_parser()
+        assert set(subcommand_parsers(parser)) == set(REQUIRED_FLAGS)
+        for name, (argv, values) in REQUIRED_FLAGS.items():
+            flags = vars(parser.parse_args([name, *argv]))
+            assert flags.pop("handler") is getattr(cli, "cmd_" + name.replace("-", "_"))
+            # Nothing else is in the namespace, so RunConfig(**flags) takes
+            # every other field's default.
+            assert flags == {"subcommand": name, **values}
+
+
 class TestHelp:
     def test_every_flag_is_documented(self):
-        parser = cli.build_parser()
-        subactions = next(
-            a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
-        )
-        for name, sub in subactions.choices.items():
+        for name, sub in subcommand_parsers(cli.build_parser()).items():
             for action in sub._actions:
                 assert action.help, f"{name}: {action.option_strings} lacks help text"
 

@@ -146,14 +146,12 @@ def test_curve_validation():
     )
 
 
-def test_threads_do_not_change_results():
-    rng = random.Random(13)
-    for _ in range(10):
-        ds = oracles.random_mini_dataset(rng, max_images=3, max_total_dets=8)
+def test_roc_builders_reject_iou_thresholds_outside_unit_interval():
+    ds = _single_image_dataset()
+    for iou_threshold in (math.nan, -0.1, 1.5):
         for build in (discrete_roc, continuous_roc, normalized_fp_roc):
-            assert build(ds, threads=4).points == build(ds, threads=1).points
-    with pytest.raises(ValueError):
-        discrete_roc(_single_image_dataset(), threads=0)
+            with pytest.raises(ValueError, match="iou_threshold"):
+                build(ds, iou_threshold=iou_threshold)
 
 
 def test_optimal_matcher_matches_at_least_as_many():
