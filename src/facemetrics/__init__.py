@@ -39,7 +39,6 @@ from .geometry import (
 from .io import (
     AnnotationEntry,
     AnnotationFile,
-    CurveDocument,
     ParseError,
     RectRegion,
     build_dataset,
@@ -126,7 +125,6 @@ __all__ = [
     "RectRegion",
     "AnnotationEntry",
     "AnnotationFile",
-    "CurveDocument",
     "parse_region_list",
     "parse_fold_list",
     "parse_scored_rects",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Rect
+from .geometry import Rect, _score_order
 
 __all__ = [
     "AnchorSpec",
@@ -62,6 +62,8 @@ class AnchorSpec:
 
 
 DEFAULT_ANCHOR_SPEC = AnchorSpec(scales=(128.0, 256.0, 512.0), ratios=(1.0, 2.0, 0.5), stride=16.0)
+
+_RESIZE_MODES = ("train", "test")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,8 +172,7 @@ def top_n(scored: list[tuple[Rect, float]], n: int) -> list[tuple[Rect, float]]:
     """The ``n`` highest-scoring entries, descending score, ties by input index."""
     if n < 0:
         raise ValueError(f"top_n requires n >= 0, got {n}")
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
-    return [scored[i] for i in order[:n]]
+    return [scored[i] for i in _score_order([score for _, score in scored])[:n]]
 
 
 def resize_scale(width: float, height: float, mode: str) -> ResizePlan:
@@ -182,12 +183,12 @@ def resize_scale(width: float, height: float, mode: str) -> ResizePlan:
     1024.  The formulas are applied as written, so images smaller than
     the targets are scaled up (no cap at 1.0).
     """
-    if width <= 0 or height <= 0:
-        raise ValueError(f"resize_scale requires positive dimensions, got {width}x{height}")
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise ValueError(f"resize_scale requires positive, finite dimensions, got {width}x{height}")
+    if mode not in _RESIZE_MODES:
+        raise ValueError(f"resize_scale mode must be one of {_RESIZE_MODES}, got {mode!r}")
     if mode == "train":
         scale = 1024.0 / max(width, height)
-    elif mode == "test":
-        scale = min(600.0 / min(width, height), 1024.0 / max(width, height))
     else:
-        raise ValueError(f"resize_scale mode must be 'train' or 'test', got {mode!r}")
+        scale = min(600.0 / min(width, height), 1024.0 / max(width, height))
     return ResizePlan(scale=scale, resized_w=scale * width, resized_h=scale * height)

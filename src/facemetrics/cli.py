@@ -27,7 +27,8 @@ Exit status: 0 on success, 1 for bad input or flags, 2 if an internal
 invariant breaks (a bug, not a usage problem).
 
 Each flag's destination is a :class:`RunConfig` field, and a flag left
-out keeps that field's default, so every default is stated once.
+out keeps that field's default, so every default is stated once; the
+``(default ...)`` notes in ``--help`` are rendered from those fields too.
 ``--threads`` is accepted for compatibility and must be at least 1;
 every subcommand runs on one thread and the value changes nothing.
 """
@@ -35,6 +36,8 @@ every subcommand runs on one thread and the value changes nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -44,9 +47,11 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from ._version import __version__
-from .anchors import AnchorSpec, anchor_grid, resize_scale
-from .geometry import nms
+from .anchors import _RESIZE_MODES, DEFAULT_ANCHOR_SPEC, AnchorSpec, anchor_grid, resize_scale
+from .geometry import _POLYGON_VERTICES, _score_order, nms
 from .io import (
+    _ANGLE_UNITS,
+    _FORMATS,
     ParseError,
     build_dataset,
     format_rect,
@@ -56,6 +61,7 @@ from .io import (
 )
 from .matching import Detection
 from .metrics import (
+    _MATCH_IOU,
     MATCHERS,
     Curve,
     EvalDataset,
@@ -76,16 +82,12 @@ __all__ = [
     "main",
 ]
 
-_EVAL_MODES = ("discrete", "continuous", "normalized")
-_RESIZE_MODES = ("train", "test")
-_FORMATS = ("csv", "json")
-_ANGLE_UNITS = ("radians", "degrees")
-
 _MODE_BUILDERS = {
     "discrete": discrete_roc,
     "continuous": continuous_roc,
     "normalized": normalized_fp_roc,
 }
+_EVAL_MODES = tuple(_MODE_BUILDERS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,20 +108,20 @@ class RunConfig:
     input_path: str = "-"
     mode: str = "discrete"
     matcher: str = "greedy"
-    iou_threshold: float = 0.5
+    iou_threshold: float = _MATCH_IOU
     n_values: tuple[int, ...] = (100, 300, 500, 1000)
     recall_thresholds: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
     top_cap: int | None = None
     query_x: float | None = None
     out_path: str = "-"
     out_format: str = "csv"
-    ellipse_n: int = 1024
+    ellipse_n: int = _POLYGON_VERTICES
     angle_unit: str = "radians"
     threads: int = 1
     dataset_name: str = ""
-    scales: tuple[float, ...] = (128.0, 256.0, 512.0)
-    ratios: tuple[float, ...] = (1.0, 2.0, 0.5)
-    stride: float = 16.0
+    scales: tuple[float, ...] = DEFAULT_ANCHOR_SPEC.scales
+    ratios: tuple[float, ...] = DEFAULT_ANCHOR_SPEC.ratios
+    stride: float = DEFAULT_ANCHOR_SPEC.stride
     grid_w: int = 0
     grid_h: int = 0
     image_w: float = 0.0
@@ -139,13 +141,13 @@ class RunConfig:
         if self.subcommand in ("eval", "proposal-recall"):
             if not self.gt_path or not self.det_path:
                 raise ValueError("--gt and --det are required")
+        if not 0.0 <= self.iou_threshold <= 1.0:
+            raise ValueError(f"--iou must be in [0, 1], got {self.iou_threshold}")
         if self.subcommand == "eval":
             if self.mode not in _EVAL_MODES:
                 raise ValueError(f"--mode must be one of {_EVAL_MODES}, got {self.mode!r}")
             if self.matcher not in MATCHERS:
                 raise ValueError(f"--matcher must be one of {MATCHERS}, got {self.matcher!r}")
-            if not 0.0 <= self.iou_threshold <= 1.0:
-                raise ValueError(f"--iou must be in [0, 1], got {self.iou_threshold}")
             if self.top_cap is not None and self.top_cap < 1:
                 raise ValueError(f"--top must be >= 1, got {self.top_cap}")
             if self.query_x is not None and math.isnan(self.query_x):
@@ -169,21 +171,14 @@ class RunConfig:
         elif self.subcommand == "nms":
             if not self.input_path:
                 raise ValueError("an input path is required")
-            if not 0.0 <= self.iou_threshold <= 1.0:
-                raise ValueError(f"--iou must be in [0, 1], got {self.iou_threshold}")
         elif self.subcommand == "anchors":
             if self.grid_w < 1 or self.grid_h < 1:
                 raise ValueError(
                     f"--width and --height must be >= 1, got {self.grid_w}x{self.grid_h}"
                 )
-            if not self.scales or not self.ratios:
-                raise ValueError("--scales and --ratios must be non-empty")
-            if any(s <= 0 for s in self.scales) or any(r <= 0 for r in self.ratios):
-                raise ValueError("--scales and --ratios must be positive")
-            if self.stride <= 0:
-                raise ValueError(f"--stride must be positive, got {self.stride}")
+            AnchorSpec(scales=self.scales, ratios=self.ratios, stride=self.stride)
         elif self.subcommand == "resize-plan":
-            if self.image_w <= 0 or self.image_h <= 0:
+            if not (0 < self.image_w < math.inf and 0 < self.image_h < math.inf):
                 raise ValueError(
                     f"--width and --height must be positive, got {self.image_w}x{self.image_h}"
                 )
@@ -207,16 +202,19 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.flush()
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, staged = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
+    staged = None
     try:
+        fd, staged = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(staged, path)
-    except BaseException:
-        try:
-            os.unlink(staged)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if staged is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(staged)
+        if isinstance(exc, OSError):
+            # Name the path asked for, not the randomly named staging file.
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -231,8 +229,7 @@ def _cap_detections(ds: EvalDataset, cap: int) -> EvalDataset:
     images = {}
     for image_id, entry in ds.images.items():
         dets = entry.detections
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        kept = tuple(dets[i] for i in sorted(order[:cap]))
+        kept = tuple(dets[i] for i in sorted(_score_order([d.score for d in dets])[:cap]))
         images[image_id] = (kept, entry.ground_truths)
     return EvalDataset.from_images(images)
 
@@ -279,13 +276,9 @@ def cmd_proposal_recall(config: RunConfig) -> int:
         polygon_vertices=config.ellipse_n,
     )
     for n, curve in zip(config.n_values, curves):
-        text = write_curve(
-            curve, config.out_format, dataset_name=config.dataset_name, matcher=""
-        )
-        if config.out_path == "-":
-            _write_text("-", text)
-        else:
-            _write_text(f"{config.out_path}{n}.{config.out_format}", text)
+        text = write_curve(curve, config.out_format, dataset_name=config.dataset_name)
+        path = "-" if config.out_path == "-" else f"{config.out_path}{n}.{config.out_format}"
+        _write_text(path, text)
     return 0
 
 
@@ -329,6 +322,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _default(dest: str) -> str:
+    """A flag's ``(default ...)`` note: its ``RunConfig`` field's default, as flag text."""
+    value = next(f.default for f in dataclasses.fields(RunConfig) if f.name == dest)
+    values = value if isinstance(value, tuple) else (value,)
+    text = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in values)
+    return f"(default {text})"
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit with status 1, not 2."""
 
@@ -337,14 +338,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(sub: argparse.ArgumentParser, *, formats: bool) -> None:
-    sub.add_argument(
-        "--out", dest="out_path", metavar="OUT", help="output path, or - for stdout (default)"
-    )
+def _add_io_flags(
+    sub: argparse.ArgumentParser,
+    *,
+    formats: bool,
+    out_help: str = "output path, or - for stdout (default)",
+) -> None:
+    sub.add_argument("--out", dest="out_path", metavar="OUT", help=out_help)
     if formats:
-        sub.add_argument(
-            "--format", dest="out_format", choices=_FORMATS, help="curve file format"
-        )
+        sub.add_argument("--format", dest="out_format", choices=_FORMATS, help="curve file format")
 
 
 def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
@@ -366,12 +368,14 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
         "--angle-unit", choices=_ANGLE_UNITS, help="unit of ellipse angles in the input files"
     )
     sub.add_argument(
-        "--ellipse-n", type=int, help="vertex count for polygonal ellipse areas (default 1024)"
+        "--ellipse-n",
+        type=int,
+        help=f"vertex count for polygonal ellipse areas {_default('ellipse_n')}",
     )
     sub.add_argument(
         "--threads",
         type=int,
-        help="accepted for compatibility and must be >= 1 (default 1); "
+        help=f"accepted for compatibility and must be >= 1 {_default('threads')}; "
         "work runs on one thread",
     )
     sub.add_argument("--dataset-name", help="dataset label recorded in JSON output")
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="iou_threshold",
         metavar="IOU",
         type=float,
-        help="IoU a match must exceed (default 0.5)",
+        help=f"IoU a match must exceed {_default('iou_threshold')}",
     )
     sub.add_argument(
         "--top",
@@ -433,24 +437,20 @@ def build_parser() -> argparse.ArgumentParser:
         dest="n_values",
         type=_int_list,
         metavar="N[,N...]",
-        help="proposal budgets, one output curve each (default 100,300,500,1000)",
+        help=f"proposal budgets, one output curve each {_default('n_values')}",
     )
     sub.add_argument(
         "--iou-thresholds",
         dest="recall_thresholds",
         type=_float_list,
         metavar="T[,T...]",
-        help="IoU thresholds to sweep (default 0.5,0.55,...,0.95)",
+        help=f"IoU thresholds to sweep {_default('recall_thresholds')}",
     )
-    sub.add_argument(
-        "--out",
-        dest="out_path",
-        metavar="OUT",
-        help="output path prefix: each curve goes to <prefix><N>.<format>; "
+    _add_io_flags(
+        sub,
+        formats=True,
+        out_help="output path prefix: each curve goes to <prefix><N>.<format>; "
         "- (stdout) is allowed for a single N",
-    )
-    sub.add_argument(
-        "--format", dest="out_format", choices=_FORMATS, help="curve file format"
     )
     sub.set_defaults(handler=cmd_proposal_recall)
 
@@ -463,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="iou_threshold",
         metavar="IOU",
         type=float,
-        help="suppress a box overlapping a kept one by more than this (default 0.5)",
+        help="suppress a box overlapping a kept one by more than this "
+        + _default("iou_threshold"),
     )
     _add_io_flags(sub, formats=False)
     sub.set_defaults(handler=cmd_nms)
@@ -473,15 +474,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--scales",
         type=_float_list,
         metavar="S[,S...]",
-        help="anchor scales in pixels (default 128,256,512)",
+        help=f"anchor scales in pixels {_default('scales')}",
     )
     sub.add_argument(
         "--ratios",
         type=_float_list,
         metavar="R[,R...]",
-        help="height/width ratios (default 1,2,0.5)",
+        help=f"height/width ratios {_default('ratios')}",
     )
-    sub.add_argument("--stride", type=float, help="feature-cell size in pixels (default 16)")
+    sub.add_argument(
+        "--stride", type=float, help=f"feature-cell size in pixels {_default('stride')}"
+    )
     sub.add_argument(
         "--width",
         dest="grid_w",

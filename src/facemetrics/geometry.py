@@ -37,6 +37,19 @@ __all__ = [
     "nms",
 ]
 
+# Vertex count of the inscribed polygon that stands in for an ellipse.
+_POLYGON_VERTICES = 1024
+
+
+def _score_order(scores: Sequence[float]) -> list[int]:
+    """Indices by descending score, ties by index: the order of every score-ranked visit."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
+def _check_iou_threshold(iou_threshold: float) -> None:
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+
 
 @dataclass(frozen=True, slots=True)
 class Rect:
@@ -221,7 +234,7 @@ def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) ->
 
 
 def iou_ellipse_rect(
-    ellipse: Ellipse, rect: Rect, n: int = 1024, *, polygon: Polygon | None = None
+    ellipse: Ellipse, rect: Rect, n: int = _POLYGON_VERTICES, *, polygon: Polygon | None = None
 ) -> float:
     """IoU between an ellipse and a rectangle via polygon clipping.
 
@@ -329,9 +342,8 @@ def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
     least 1e-50; other pools skip only pairs whose IoU is exactly 0.
     Boxes of zero width or height neither suppress nor are suppressed.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    _check_iou_threshold(iou_threshold)
+    order = _score_order([d.score for d in dets])
     boxes = [d.region for d in dets]
     sizes = [(r.x_max - r.x_min, r.y_max - r.y_min) for r in boxes]
     if iou_threshold >= _NMS_MIN_THRESHOLD and all(

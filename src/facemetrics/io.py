@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from ._version import __version__
@@ -42,7 +42,6 @@ __all__ = [
     "Region",
     "AnnotationEntry",
     "AnnotationFile",
-    "CurveDocument",
     "parse_region_list",
     "parse_fold_list",
     "parse_scored_rects",
@@ -51,6 +50,10 @@ __all__ = [
     "write_curve",
     "read_curve",
 ]
+
+
+_ANGLE_UNITS = ("radians", "degrees")
+_FORMATS = ("csv", "json")
 
 
 class ParseError(ValueError):
@@ -142,8 +145,8 @@ def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFi
     :class:`ParseError` on the first malformed line, undeclared or
     missing regions, or a duplicate image id.
     """
-    if angle_unit not in ("radians", "degrees"):
-        raise ValueError(f"angle_unit must be 'radians' or 'degrees', got {angle_unit!r}")
+    if angle_unit not in _ANGLE_UNITS:
+        raise ValueError(f"angle_unit must be one of {_ANGLE_UNITS}, got {angle_unit!r}")
     lines = text.splitlines()
     entries = []
     first_seen: dict[str, int] = {}
@@ -245,16 +248,6 @@ def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> Ev
     return EvalDataset.from_images(images)
 
 
-@dataclass(frozen=True, slots=True)
-class CurveDocument:
-    """A curve plus the run metadata recorded in JSON output."""
-
-    curve: Curve
-    dataset_name: str = ""
-    matcher: str = ""
-    tool_version: str = __version__
-
-
 def _format_number(value: float) -> str:
     return f"{value:.6g}"
 
@@ -274,16 +267,16 @@ def _curve_to_csv(curve: Curve) -> str:
     return "\n".join(out) + "\n"
 
 
-def _curve_to_json(document: CurveDocument) -> str:
+def _curve_to_json(curve: Curve, dataset_name: str, matcher: str) -> str:
     payload = {
-        "dataset": document.dataset_name,
-        "matcher": document.matcher,
-        "tool_version": document.tool_version,
-        "x_semantics": document.curve.x_semantics.value,
-        "y_semantics": document.curve.y_semantics.value,
+        "dataset": dataset_name,
+        "matcher": matcher,
+        "tool_version": __version__,
+        "x_semantics": curve.x_semantics.value,
+        "y_semantics": curve.y_semantics.value,
         "points": [
             [_json_number(p.x), _json_number(p.y), _json_number(p.threshold)]
-            for p in document.curve.points
+            for p in curve.points
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -301,11 +294,11 @@ def write_curve(
     CSV carries a one-line semantics comment; JSON additionally records
     the dataset name, matcher, and tool version.
     """
-    if format == "csv":
-        return _curve_to_csv(curve)
+    if format not in _FORMATS:
+        raise ValueError(f"format must be one of {_FORMATS}, got {format!r}")
     if format == "json":
-        return _curve_to_json(CurveDocument(curve, dataset_name=dataset_name, matcher=matcher))
-    raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        return _curve_to_json(curve, dataset_name, matcher)
+    return _curve_to_csv(curve)
 
 
 def _semantics(x_name: str, y_name: str, lineno: int) -> tuple[XSemantics, YSemantics]:

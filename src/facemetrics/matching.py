@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 from .geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
+from .geometry import _POLYGON_VERTICES, _check_iou_threshold, _score_order
 
 __all__ = [
     "Detection",
@@ -113,7 +114,9 @@ class MatchOutcome:
         return math.fsum(p.iou for p in self.pairs)
 
 
-def region_iou(detection_region: Rect, gt_region: Region, polygon_vertices: int = 1024) -> float:
+def region_iou(
+    detection_region: Rect, gt_region: Region, polygon_vertices: int = _POLYGON_VERTICES
+) -> float:
     """IoU between a detection rectangle and a rect or ellipse ground truth."""
     if isinstance(gt_region, Ellipse):
         return iou_ellipse_rect(gt_region, detection_region, polygon_vertices)
@@ -123,7 +126,7 @@ def region_iou(detection_region: Rect, gt_region: Region, polygon_vertices: int 
 def iou_matrix(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruth],
-    polygon_vertices: int = 1024,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> list[list[float]]:
     """Dense detection-by-ground-truth IoU matrix.
 
@@ -145,11 +148,6 @@ def iou_matrix(
         ]
         for det in dets
     ]
-
-
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
 
 
 def _check_single_image(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> None:
@@ -375,18 +373,17 @@ def match_greedy(
     gts: Sequence[GroundTruth],
     iou_threshold: float,
     *,
-    polygon_vertices: int = 1024,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> MatchOutcome:
     """Greedy score-ordered matching of detections to ground truths.
 
     All inputs must share one image id.  The result depends only on the
     score ordering, not on score magnitudes.
     """
-    _check_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     _check_single_image(dets, gts)
     matrix = iou_matrix(dets, gts, polygon_vertices)
-    priority = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    pairs = greedy_assignment(matrix, priority, iou_threshold)
+    pairs = greedy_assignment(matrix, _score_order([d.score for d in dets]), iou_threshold)
     return _outcome(pairs, len(dets), len(gts))
 
 
@@ -395,10 +392,10 @@ def match_optimal(
     gts: Sequence[GroundTruth],
     iou_threshold: float,
     *,
-    polygon_vertices: int = 1024,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> MatchOutcome:
     """Total-IoU-maximizing matching of detections to ground truths."""
-    _check_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     _check_single_image(dets, gts)
     matrix = iou_matrix(dets, gts, polygon_vertices)
     pairs = optimal_assignment(matrix, iou_threshold)

@@ -35,14 +35,14 @@ so shuffling detections with *distinct* scores never changes any curve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
+from .geometry import _POLYGON_VERTICES, _check_iou_threshold, _score_order
 from .matching import (
     Detection,
     GroundTruth,
-    _check_threshold,
     greedy_assignment,
     greedy_assignment_by_iou,
     iou_matrix,
@@ -66,6 +66,9 @@ __all__ = [
 ]
 
 MATCHERS = ("greedy", "optimal")
+
+# A detection matches a ground truth when their IoU exceeds this.
+_MATCH_IOU = 0.5
 
 _ROC_X = frozenset({"fp_count", "fp_per_image"})
 
@@ -130,10 +133,10 @@ class ImageEntries(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class EvalDataset:
-    """Detections and ground truths grouped per image."""
+    """Detections and ground truths grouped per image, with their ground-truth count."""
 
     images: dict[str, ImageEntries]
-    total_gt_count: int
+    total_gt_count: int = field(init=False)
 
     def __post_init__(self) -> None:
         gt_count = 0
@@ -149,22 +152,16 @@ class EvalDataset:
                         f"ground truth for image {gt.image_id!r} filed under {image_id!r}"
                     )
             gt_count += len(entry.ground_truths)
-        if gt_count != self.total_gt_count:
-            raise ValueError(
-                f"total_gt_count is {self.total_gt_count} but images hold {gt_count}"
-            )
+        object.__setattr__(self, "total_gt_count", gt_count)
 
     @classmethod
     def from_images(
         cls,
         images: Mapping[str, tuple[Sequence[Detection], Sequence[GroundTruth]]],
     ) -> "EvalDataset":
-        built = {
-            image_id: ImageEntries(tuple(dets), tuple(gts))
-            for image_id, (dets, gts) in images.items()
-        }
-        total = sum(len(entry.ground_truths) for entry in built.values())
-        return cls(images=built, total_gt_count=total)
+        return cls(
+            {key: ImageEntries(tuple(dets), tuple(gts)) for key, (dets, gts) in images.items()}
+        )
 
 
 def _check_matcher(matcher: str) -> None:
@@ -210,7 +207,7 @@ def _image_events(
     if not dets:
         return []
     matrix = iou_matrix(dets, gts, polygon_vertices)
-    by_score = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    by_score = _score_order([d.score for d in dets])
     # Greedy claims in score order, so the pairs at any cut are the first
     # pairs of one full pass.
     matched = (
@@ -287,7 +284,7 @@ def _roc_curve(
 ) -> Curve:
     _check_dataset(ds)
     _check_matcher(matcher)
-    _check_threshold(iou_threshold)
+    _check_iou_threshold(iou_threshold)
     n_images = len(ds.images)
     points = []
     for threshold, tp, fp, iou_sum in _sweep_totals(ds, matcher, iou_threshold, polygon_vertices):
@@ -306,8 +303,8 @@ def discrete_roc(
     ds: EvalDataset,
     matcher: str = "greedy",
     *,
-    iou_threshold: float = 0.5,
-    polygon_vertices: int = 1024,
+    iou_threshold: float = _MATCH_IOU,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> Curve:
     """ROC over total false-positive count; each match counts as 1."""
     return _roc_curve(
@@ -324,8 +321,8 @@ def continuous_roc(
     ds: EvalDataset,
     matcher: str = "greedy",
     *,
-    iou_threshold: float = 0.5,
-    polygon_vertices: int = 1024,
+    iou_threshold: float = _MATCH_IOU,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> Curve:
     """ROC where each qualifying match contributes its IoU instead of 1."""
     return _roc_curve(
@@ -342,8 +339,8 @@ def normalized_fp_roc(
     ds: EvalDataset,
     matcher: str = "greedy",
     *,
-    iou_threshold: float = 0.5,
-    polygon_vertices: int = 1024,
+    iou_threshold: float = _MATCH_IOU,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> Curve:
     """Discrete ROC with false positives divided by the image count."""
     return _roc_curve(
@@ -370,8 +367,7 @@ def _image_recall_counts(
     candidate list, this equals re-matching at every threshold.
     """
     dets, gts = entry
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    top_rows = order[: max(n_values)]
+    top_rows = _score_order([d.score for d in dets])[: max(n_values)]
     matrix = iou_matrix([dets[i] for i in top_rows], gts, polygon_vertices)
     counts = []
     for n in n_values:
@@ -386,7 +382,7 @@ def proposal_recall(
     n_values: Sequence[int],
     iou_thresholds: Sequence[float],
     *,
-    polygon_vertices: int = 1024,
+    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> list[Curve]:
     """Detection rate of the top-N proposals per image, by IoU threshold.
 

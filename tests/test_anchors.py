@@ -162,6 +162,14 @@ def test_resize_scale_test_mode():
     assert resize_scale(100.0, 100.0, "test").scale == 6.0
 
 
+def test_resize_scale_rejects_non_finite_dimensions():
+    for bad in (math.nan, math.inf):
+        for mode in ("train", "test"):
+            for width, height in ((bad, 100.0), (100.0, bad)):
+                with pytest.raises(ValueError, match="finite"):
+                    resize_scale(width, height, mode)
+
+
 def test_resize_scale_validation():
     with pytest.raises(ValueError):
         resize_scale(0.0, 100.0, "train")

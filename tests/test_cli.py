@@ -3,6 +3,8 @@
 import dataclasses
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,11 @@ class TestRunConfig:
             RunConfig(subcommand="resize-plan", image_w=100, image_h=100, mode="val")
         with pytest.raises(ValueError, match="subcommand"):
             RunConfig(subcommand="frobnicate")
+
+    def test_anchor_settings_are_checked_before_any_work(self):
+        for bad in ({"scales": (math.inf,)}, {"ratios": (0.0,)}, {"stride": math.nan}):
+            with pytest.raises(ValueError, match="AnchorSpec"):
+                RunConfig(subcommand="anchors", grid_w=1, grid_h=1, **bad)
 
 
 class TestEval:
@@ -283,6 +290,14 @@ class TestResizePlan:
         # 600/500 = 1.2 would push the long side past 1024; the cap wins
         assert capsys.readouterr().out.splitlines()[0] == "scale 0.512000"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_size_returns_1(self, value, capsys):
+        for size in (["--width", value, "--height", "450"], ["--width", "350", "--height", value]):
+            assert main(["resize-plan", *size, "--mode", "test"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--width and --height must be positive" in captured.err
+
 
 class TestExitCodes:
     def test_usage_error_exits_1(self, capsys):
@@ -321,6 +336,23 @@ class TestExitCodes:
         assert code == 1
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_names_the_given_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        runs = [
+            (["eval", "--out", "missing/c.csv"], "missing/c.csv"),
+            (["proposal-recall", "--out", "missing/r"], "missing/r100.csv"),
+        ]
+        for (subcommand, *out), written in runs:
+            errors = []
+            for _ in range(2):
+                assert main([subcommand, "--gt", GT_PATH, "--det", DET_PATH, *out]) == 1
+                errors.append(capsys.readouterr().err)
+            assert errors[0] == errors[1]
+            assert errors[0] == (
+                f"facemetrics: error: [Errno 2] No such file or directory: '{written}'\n"
+            )
+            assert list(tmp_path.iterdir()) == []
 
     def test_internal_error_returns_2(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
@@ -386,6 +418,25 @@ class TestHelp:
         for name, sub in subcommand_parsers(cli.build_parser()).items():
             for action in sub._actions:
                 assert action.help, f"{name}: {action.option_strings} lacks help text"
+
+    def test_help_defaults_are_the_run_config_defaults(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        defaults = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+        checked = set()
+        for name, sub in subcommand_parsers(cli.build_parser()).items():
+            text = " ".join(sub.format_help().split())
+            for action in sub._actions:
+                match = re.search(r"\(default (\S+?)\)", action.help)
+                if match is None:
+                    continue
+                assert " ".join(action.help.split()) in text
+                parse = action.type or str
+                assert parse(match.group(1)) == defaults[action.dest], (name, action.dest)
+                checked.add(action.dest)
+        assert checked == {
+            "ellipse_n", "threads", "iou_threshold", "n_values", "recall_thresholds",
+            "scales", "ratios", "stride",
+        }
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -17,9 +17,10 @@ from facemetrics.geometry import (
     iou_rect,
     nms,
 )
-from facemetrics import geometry, matching
+from facemetrics import cli, geometry, matching
 from facemetrics.anchors import DEFAULT_ANCHOR_SPEC, BoxDelta, anchor_grid, decode, top_n
 from facemetrics.matching import Detection, GroundTruth, iou_matrix, region_iou
+from facemetrics.metrics import EvalDataset
 
 import oracles
 
@@ -287,6 +288,34 @@ def test_nms_score_tie_breaks_by_input_index():
     b = _det(0, 0, 10, 10, 0.9)
     assert nms([a, b], 0.5) == [a]
     assert nms([b, a], 0.5) == [b]
+
+
+def test_every_score_ranked_visit_takes_descending_score_then_index():
+    # Heavy ties, 0.0 and -0.0 mixed (they compare equal, so they tie too).
+    rng = random.Random(6)
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        scores = [rng.choice([1.0, 0.5, 0.0, -0.0, -0.5]) for _ in range(n)]
+        expected = sorted(range(n), key=lambda i: (-scores[i], i))
+        # Disjoint boxes: NMS keeps every one, in the order it visits them.
+        boxes = [Rect(2.0 * i, 0.0, 2.0 * i + 1.0, 1.0) for i in range(n)]
+        dets = [Detection(region=b, score=s, image_id="img") for b, s in zip(boxes, scores)]
+        kept = nms(dets, 0.5)
+        assert [boxes.index(d.region) for d in kept] == expected
+        corners = np.array([[b.x_min, b.y_min, b.x_max, b.y_max] for b in boxes])
+        assert oracles.reference_nms_indices(corners, np.array(scores), 0.5) == expected
+        k = rng.randint(0, n)
+        top = top_n(list(zip(boxes, scores)), k)
+        assert [boxes.index(rect) for rect, _ in top] == expected[:k]
+        # Congruent detections and ground truths: the detection visited p-th
+        # claims ground truth p.
+        same = [Detection(region=boxes[0], score=s, image_id="img") for s in scores]
+        gts = [GroundTruth(region=boxes[0], image_id="img")] * n
+        pairs = matching.match_greedy(same, gts, 0.5).pairs
+        assert [p.detection for p in sorted(pairs, key=lambda p: p.ground_truth)] == expected
+        # eval --top keeps the first k of that order, in input order.
+        capped = cli._cap_detections(EvalDataset.from_images({"img": (dets, [])}), k)
+        assert list(capped.images["img"].detections) == [dets[i] for i in sorted(expected[:k])]
 
 
 def test_nms_suppressed_boxes_do_not_shadow_others():

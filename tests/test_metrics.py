@@ -48,15 +48,19 @@ def test_dataset_rejects_misfiled_entries():
         EvalDataset.from_images({"a": ([_det(0, 0, 1, 1, 0.5, "b")], [])})
     with pytest.raises(ValueError):
         EvalDataset.from_images({"a": ([], [_gt(0, 0, 1, 1, "b")])})
-    with pytest.raises(ValueError):
-        EvalDataset(
-            images={"a": ImageEntries((), (_gt(0, 0, 1, 1, "a"),))}, total_gt_count=5
-        )
+
+
+def test_dataset_counts_its_ground_truths():
+    gts = (_gt(0, 0, 1, 1, "a"), _gt(2, 2, 3, 3, "a"))
+    images = {"a": ImageEntries((), gts), "b": ImageEntries((), ())}
+    assert EvalDataset(images=images).total_gt_count == 2
+    with pytest.raises(TypeError):
+        EvalDataset(images={}, total_gt_count=0)
 
 
 def test_roc_requires_images_and_ground_truths():
     with pytest.raises(ValueError):
-        discrete_roc(EvalDataset(images={}, total_gt_count=0))
+        discrete_roc(EvalDataset(images={}))
     empty_gts = EvalDataset.from_images({"img": ([_det(0, 0, 1, 1, 0.5)], [])})
     with pytest.raises(ValueError):
         discrete_roc(empty_gts)
