@@ -64,6 +64,10 @@ class AnchorSpec:
 DEFAULT_ANCHOR_SPEC = AnchorSpec(scales=(128.0, 256.0, 512.0), ratios=(1.0, 2.0, 0.5), stride=16.0)
 
 _RESIZE_MODES = ("train", "test")
+# Resize targets in pixels: the longer side's in ``train`` and its cap in
+# ``test``, and the shorter side's in ``test``.
+_LONG_SIDE = 1024.0
+_SHORT_SIDE = 600.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,17 +182,17 @@ def top_n(scored: list[tuple[Rect, float]], n: int) -> list[tuple[Rect, float]]:
 def resize_scale(width: float, height: float, mode: str) -> ResizePlan:
     """Uniform resize factor for an image of the given size.
 
-    ``train`` scales the longer side to 1024; ``test`` scales the
-    shorter side to 600 unless that would push the longer side past
-    1024.  The formulas are applied as written, so images smaller than
-    the targets are scaled up (no cap at 1.0).
+    ``train`` scales the longer side to ``_LONG_SIDE``; ``test`` scales
+    the shorter side to ``_SHORT_SIDE`` unless that would push the longer
+    side past ``_LONG_SIDE``.  The formulas are applied as written, so
+    images smaller than the targets are scaled up (no cap at 1.0).
     """
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise ValueError(f"resize_scale requires positive, finite dimensions, got {width}x{height}")
     if mode not in _RESIZE_MODES:
         raise ValueError(f"resize_scale mode must be one of {_RESIZE_MODES}, got {mode!r}")
     if mode == "train":
-        scale = 1024.0 / max(width, height)
+        scale = _LONG_SIDE / max(width, height)
     else:
-        scale = min(600.0 / min(width, height), 1024.0 / max(width, height))
+        scale = min(_SHORT_SIDE / min(width, height), _LONG_SIDE / max(width, height))
     return ResizePlan(scale=scale, resized_w=scale * width, resized_h=scale * height)

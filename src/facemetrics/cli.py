@@ -31,6 +31,8 @@ out keeps that field's default, so every default is stated once; the
 ``(default ...)`` notes in ``--help`` are rendered from those fields too.
 ``--threads`` is accepted for compatibility and must be at least 1;
 every subcommand runs on one thread and the value changes nothing.
+Ellipse areas use the IoU layer's fixed polygon; no flag changes its
+vertex count.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from ._version import __version__
-from .anchors import _RESIZE_MODES, DEFAULT_ANCHOR_SPEC, AnchorSpec, anchor_grid, resize_scale
-from .geometry import _POLYGON_VERTICES, _score_order, nms
+from .anchors import _LONG_SIDE, _RESIZE_MODES, _SHORT_SIDE, DEFAULT_ANCHOR_SPEC, AnchorSpec
+from .anchors import anchor_grid, resize_scale
+from .geometry import _score_order, nms
 from .io import (
     _ANGLE_UNITS,
     _FORMATS,
@@ -115,7 +118,6 @@ class RunConfig:
     query_x: float | None = None
     out_path: str = "-"
     out_format: str = "csv"
-    ellipse_n: int = _POLYGON_VERTICES
     angle_unit: str = "radians"
     threads: int = 1
     dataset_name: str = ""
@@ -132,8 +134,6 @@ class RunConfig:
             raise ValueError(f"--threads must be >= 1, got {self.threads}")
         if self.out_format not in _FORMATS:
             raise ValueError(f"--format must be one of {_FORMATS}, got {self.out_format!r}")
-        if self.ellipse_n < 8:
-            raise ValueError(f"--ellipse-n must be >= 8, got {self.ellipse_n}")
         if self.angle_unit not in _ANGLE_UNITS:
             raise ValueError(
                 f"--angle-unit must be one of {_ANGLE_UNITS}, got {self.angle_unit!r}"
@@ -253,12 +253,7 @@ def cmd_eval(config: RunConfig) -> int:
     if config.top_cap is not None:
         ds = _cap_detections(ds, config.top_cap)
     build = _MODE_BUILDERS[config.mode]
-    curve = build(
-        ds,
-        config.matcher,
-        iou_threshold=config.iou_threshold,
-        polygon_vertices=config.ellipse_n,
-    )
+    curve = build(ds, config.matcher, iou_threshold=config.iou_threshold)
     text = write_curve(
         curve, config.out_format, dataset_name=config.dataset_name, matcher=config.matcher
     )
@@ -269,12 +264,7 @@ def cmd_eval(config: RunConfig) -> int:
 
 def cmd_proposal_recall(config: RunConfig) -> int:
     ds = _load_dataset(config)
-    curves = proposal_recall(
-        ds,
-        config.n_values,
-        config.recall_thresholds,
-        polygon_vertices=config.ellipse_n,
-    )
+    curves = proposal_recall(ds, config.n_values, config.recall_thresholds)
     for n, curve in zip(config.n_values, curves):
         text = write_curve(curve, config.out_format, dataset_name=config.dataset_name)
         path = "-" if config.out_path == "-" else f"{config.out_path}{n}.{config.out_format}"
@@ -366,11 +356,6 @@ def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--angle-unit", choices=_ANGLE_UNITS, help="unit of ellipse angles in the input files"
-    )
-    sub.add_argument(
-        "--ellipse-n",
-        type=int,
-        help=f"vertex count for polygonal ellipse areas {_default('ellipse_n')}",
     )
     sub.add_argument(
         "--threads",
@@ -525,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         required=True,
         choices=_RESIZE_MODES,
-        help="train: longer side to 1024; test: shorter side to 600, longer capped at 1024",
+        help=f"train: longer side to {_LONG_SIDE:g}; test: shorter side to {_SHORT_SIDE:g}, "
+        f"longer capped at {_LONG_SIDE:g}",
     )
     _add_io_flags(sub, formats=False)
     sub.set_defaults(handler=cmd_resize_plan)

@@ -27,6 +27,7 @@ has no literal for infinities.
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -344,13 +345,34 @@ def _curve_from_csv(text: str) -> Curve:
     return _build_curve(points, x_sem, y_sem, linenos)
 
 
+def _json_with_list_lines(text: str) -> tuple[object, dict[int, int]]:
+    """``json.loads(text)``, plus the line of each parsed list's ``[``, by the list's ``id``."""
+    lines: dict[int, int] = {}
+    # Lists open in document order, so the newlines are counted once, forward.
+    offset, line = 0, 1
+
+    def parse_array(string_and_start, scan_once):
+        nonlocal offset, line
+        string, start = string_and_start
+        line += string.count("\n", offset, start)
+        offset = start
+        opened_on = line
+        values, end = json.decoder.JSONArray(string_and_start, scan_once)
+        lines[id(values)] = opened_on
+        return values, end
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    return decoder.decode(text), lines
+
+
 def _curve_from_json(text: str) -> Curve:
+    """Curve from JSON text that opens with ``{``, so the parsed document is an object."""
     try:
-        payload = json.loads(text)
+        payload, lines = _json_with_list_lines(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
-    if not isinstance(payload, dict):
-        raise ParseError("expected a JSON object", 1)
     try:
         x_name = payload["x_semantics"]
         y_name = payload["y_semantics"]
@@ -358,17 +380,21 @@ def _curve_from_json(text: str) -> Curve:
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r}", 1) from None
     x_sem, y_sem = _semantics(str(x_name), str(y_name), 1)
-    points = []
     if not isinstance(raw_points, list):
         raise ParseError("'points' must be a list", 1)
+    points = []
+    linenos = []
     for raw in raw_points:
+        # A point's line is that of its '['; a point that is no list gets the point list's.
+        lineno = lines[id(raw if isinstance(raw, list) else raw_points)]
         if not isinstance(raw, list) or len(raw) != 3:
-            raise ParseError(f"each point must be a 3-element list, got {raw!r}", 1)
+            raise ParseError(f"each point must be a 3-element list, got {raw!r}", lineno)
         try:
             points.append(CurvePoint(*(float(v) for v in raw)))
         except (TypeError, ValueError):
-            raise ParseError(f"non-numeric point {raw!r}", 1) from None
-    return _build_curve(points, x_sem, y_sem, [1] * len(points))
+            raise ParseError(f"non-numeric point {raw!r}", lineno) from None
+        linenos.append(lineno)
+    return _build_curve(points, x_sem, y_sem, linenos)
 
 
 def read_curve(text: str) -> Curve:

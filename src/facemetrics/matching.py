@@ -40,6 +40,7 @@ __all__ = [
     "GroundTruth",
     "MatchPair",
     "MatchOutcome",
+    "region_iou",
     "iou_matrix",
     "match_greedy",
     "match_optimal",
@@ -131,7 +132,8 @@ def iou_matrix(
     """Dense detection-by-ground-truth IoU matrix.
 
     Each ellipse ground truth's polygon is built once per call and shared
-    by its column; nothing is kept between calls.
+    by its column; nothing is kept between calls.  Rect ground truths go
+    straight to :func:`iou_rect`.
     """
     polygons = [
         ellipse_to_polygon(gt.region, polygon_vertices)
@@ -141,7 +143,7 @@ def iou_matrix(
     ]
     return [
         [
-            region_iou(det.region, gt.region, polygon_vertices)
+            iou_rect(det.region, gt.region)
             if polygon is None
             else iou_ellipse_rect(gt.region, det.region, polygon_vertices, polygon=polygon)
             for gt, polygon in zip(gts, polygons)
@@ -372,8 +374,6 @@ def match_greedy(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruth],
     iou_threshold: float,
-    *,
-    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> MatchOutcome:
     """Greedy score-ordered matching of detections to ground truths.
 
@@ -382,7 +382,7 @@ def match_greedy(
     """
     _check_iou_threshold(iou_threshold)
     _check_single_image(dets, gts)
-    matrix = iou_matrix(dets, gts, polygon_vertices)
+    matrix = iou_matrix(dets, gts)
     pairs = greedy_assignment(matrix, _score_order([d.score for d in dets]), iou_threshold)
     return _outcome(pairs, len(dets), len(gts))
 
@@ -391,12 +391,10 @@ def match_optimal(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruth],
     iou_threshold: float,
-    *,
-    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> MatchOutcome:
     """Total-IoU-maximizing matching of detections to ground truths."""
     _check_iou_threshold(iou_threshold)
     _check_single_image(dets, gts)
-    matrix = iou_matrix(dets, gts, polygon_vertices)
+    matrix = iou_matrix(dets, gts)
     pairs = optimal_assignment(matrix, iou_threshold)
     return _outcome(pairs, len(dets), len(gts))

@@ -30,6 +30,10 @@ changes of the rounded per-image totals as exact integers, which are
 rounded once per threshold, so no total depends on the order it was
 summed in.  Score ties are broken by input index,
 so shuffling detections with *distinct* scores never changes any curve.
+
+Ellipse ground truths are measured on the fixed polygon of the IoU
+layer (:func:`~facemetrics.matching.iou_matrix`), whose vertex count is
+part of the protocol, so no curve builder takes one.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from .geometry import _POLYGON_VERTICES, _check_iou_threshold, _score_order
+from .geometry import _check_iou_threshold, _score_order
 from .matching import (
     Detection,
     GroundTruth,
@@ -196,7 +200,6 @@ def _image_events(
     entry: ImageEntries,
     matcher: str,
     iou_threshold: float,
-    polygon_vertices: int,
 ) -> list[tuple[float, int, int, int]]:
     """One image's (score, TP change, FP change, IoU-sum change) per own distinct score.
 
@@ -206,7 +209,7 @@ def _image_events(
     dets, gts = entry
     if not dets:
         return []
-    matrix = iou_matrix(dets, gts, polygon_vertices)
+    matrix = iou_matrix(dets, gts)
     by_score = _score_order([d.score for d in dets])
     # Greedy claims in score order, so the pairs at any cut are the first
     # pairs of one full pass.
@@ -246,7 +249,6 @@ def _sweep_totals(
     ds: EvalDataset,
     matcher: str,
     iou_threshold: float,
-    polygon_vertices: int,
 ) -> list[tuple[float, int, int, float]]:
     """(threshold, TP, FP, IoU sum) at +inf and at every distinct score, descending.
 
@@ -255,9 +257,7 @@ def _sweep_totals(
     """
     changes: dict[float, list[int]] = {}
     for entry in ds.images.values():
-        for score, tp, fp, iou_sum in _image_events(
-            entry, matcher, iou_threshold, polygon_vertices
-        ):
+        for score, tp, fp, iou_sum in _image_events(entry, matcher, iou_threshold):
             change = changes.setdefault(score, [0, 0, 0])
             change[0] += tp
             change[1] += fp
@@ -280,14 +280,13 @@ def _roc_curve(
     x_semantics: XSemantics,
     y_semantics: YSemantics,
     iou_threshold: float,
-    polygon_vertices: int,
 ) -> Curve:
     _check_dataset(ds)
     _check_matcher(matcher)
     _check_iou_threshold(iou_threshold)
     n_images = len(ds.images)
     points = []
-    for threshold, tp, fp, iou_sum in _sweep_totals(ds, matcher, iou_threshold, polygon_vertices):
+    for threshold, tp, fp, iou_sum in _sweep_totals(ds, matcher, iou_threshold):
         if y_semantics is YSemantics.TPR_CONTINUOUS:
             y = iou_sum / ds.total_gt_count
         else:
@@ -300,64 +299,30 @@ def _roc_curve(
 
 
 def discrete_roc(
-    ds: EvalDataset,
-    matcher: str = "greedy",
-    *,
-    iou_threshold: float = _MATCH_IOU,
-    polygon_vertices: int = _POLYGON_VERTICES,
+    ds: EvalDataset, matcher: str = "greedy", *, iou_threshold: float = _MATCH_IOU
 ) -> Curve:
     """ROC over total false-positive count; each match counts as 1."""
-    return _roc_curve(
-        ds,
-        matcher,
-        XSemantics.FP_COUNT,
-        YSemantics.TPR_DISCRETE,
-        iou_threshold,
-        polygon_vertices,
-    )
+    return _roc_curve(ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_DISCRETE, iou_threshold)
 
 
 def continuous_roc(
-    ds: EvalDataset,
-    matcher: str = "greedy",
-    *,
-    iou_threshold: float = _MATCH_IOU,
-    polygon_vertices: int = _POLYGON_VERTICES,
+    ds: EvalDataset, matcher: str = "greedy", *, iou_threshold: float = _MATCH_IOU
 ) -> Curve:
     """ROC where each qualifying match contributes its IoU instead of 1."""
-    return _roc_curve(
-        ds,
-        matcher,
-        XSemantics.FP_COUNT,
-        YSemantics.TPR_CONTINUOUS,
-        iou_threshold,
-        polygon_vertices,
-    )
+    return _roc_curve(ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_CONTINUOUS, iou_threshold)
 
 
 def normalized_fp_roc(
-    ds: EvalDataset,
-    matcher: str = "greedy",
-    *,
-    iou_threshold: float = _MATCH_IOU,
-    polygon_vertices: int = _POLYGON_VERTICES,
+    ds: EvalDataset, matcher: str = "greedy", *, iou_threshold: float = _MATCH_IOU
 ) -> Curve:
     """Discrete ROC with false positives divided by the image count."""
-    return _roc_curve(
-        ds,
-        matcher,
-        XSemantics.FP_PER_IMAGE,
-        YSemantics.TPR_DISCRETE,
-        iou_threshold,
-        polygon_vertices,
-    )
+    return _roc_curve(ds, matcher, XSemantics.FP_PER_IMAGE, YSemantics.TPR_DISCRETE, iou_threshold)
 
 
 def _image_recall_counts(
     entry: ImageEntries,
     n_values: Sequence[int],
     iou_thresholds: Sequence[float],
-    polygon_vertices: int,
 ) -> list[list[int]]:
     """Matched-ground-truth counts per (N, IoU threshold) for one image.
 
@@ -368,7 +333,7 @@ def _image_recall_counts(
     """
     dets, gts = entry
     top_rows = _score_order([d.score for d in dets])[: max(n_values)]
-    matrix = iou_matrix([dets[i] for i in top_rows], gts, polygon_vertices)
+    matrix = iou_matrix([dets[i] for i in top_rows], gts)
     counts = []
     for n in n_values:
         pairs = greedy_assignment_by_iou(matrix[:n], 0.0)
@@ -381,8 +346,6 @@ def proposal_recall(
     ds: EvalDataset,
     n_values: Sequence[int],
     iou_thresholds: Sequence[float],
-    *,
-    polygon_vertices: int = _POLYGON_VERTICES,
 ) -> list[Curve]:
     """Detection rate of the top-N proposals per image, by IoU threshold.
 
@@ -400,8 +363,7 @@ def proposal_recall(
         raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
     thresholds = sorted(iou_thresholds)
     per_image = [
-        _image_recall_counts(entry, n_values, thresholds, polygon_vertices)
-        for entry in ds.images.values()
+        _image_recall_counts(entry, n_values, thresholds) for entry in ds.images.values()
     ]
     curves = []
     for n_idx in range(len(n_values)):

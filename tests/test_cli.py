@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from facemetrics import cli
+from facemetrics import anchors, cli
 from facemetrics.cli import RunConfig, main
 from facemetrics.io import build_dataset, parse_region_list, read_curve, write_curve
 from facemetrics.metrics import discrete_roc
@@ -290,6 +290,14 @@ class TestResizePlan:
         # 600/500 = 1.2 would push the long side past 1024; the cap wins
         assert capsys.readouterr().out.splitlines()[0] == "scale 0.512000"
 
+    def test_mode_help_shows_the_resize_targets(self):
+        actions = subcommand_parsers(cli.build_parser())["resize-plan"]._actions
+        (mode,) = [action for action in actions if action.dest == "mode"]
+        assert (anchors._LONG_SIDE, anchors._SHORT_SIDE) == (1024.0, 600.0)
+        assert mode.help == (
+            "train: longer side to 1024; test: shorter side to 600, longer capped at 1024"
+        )
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_size_returns_1(self, value, capsys):
         for size in (["--width", value, "--height", "450"], ["--width", "350", "--height", value]):
@@ -365,6 +373,49 @@ class TestExitCodes:
         assert "internal error" in err
         assert "RuntimeError" in err
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["eval", "--gt", GT_PATH, "--det", DET_PATH, "--top", "0"], "--top must be >= 1"),
+            (
+                ["eval", "--gt", GT_PATH, "--det", DET_PATH, "--query-fp", "nan"],
+                "--query-fp must not be NaN",
+            ),
+            (
+                ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",
+                 "--iou-thresholds", "0"],
+                "--iou-thresholds must lie in (0, 1]",
+            ),
+            (
+                ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",
+                 "--iou-thresholds", "1.5"],
+                "--iou-thresholds must lie in (0, 1]",
+            ),
+            (["nms", "--in", ""], "an input path is required"),
+            (
+                ["anchors", "--width", "3", "--height", "2", "--scales", "a"],
+                "argument --scales: expected comma-separated numbers, got 'a'",
+            ),
+            (
+                ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "x"],
+                "argument --top-n: expected comma-separated integers, got 'x'",
+            ),
+            (
+                ["eval", "--gt", GT_PATH, "--det", DET_PATH, "--ellipse-n", "64"],
+                "unrecognized arguments: --ellipse-n 64",
+            ),
+        ],
+    )
+    def test_bad_flag_value_exits_1_with_its_own_error(self, argv, error, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag itself
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"error: {error}" in captured.err
+
 
 class TestThreadsResolution:
     def eval_with_env(self, monkeypatch, capsys, value, *flags):
@@ -434,7 +485,7 @@ class TestHelp:
                 assert parse(match.group(1)) == defaults[action.dest], (name, action.dest)
                 checked.add(action.dest)
         assert checked == {
-            "ellipse_n", "threads", "iou_threshold", "n_values", "recall_thresholds",
+            "threads", "iou_threshold", "n_values", "recall_thresholds",
             "scales", "ratios", "stride",
         }
 

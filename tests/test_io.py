@@ -325,6 +325,40 @@ class TestCurveSerialization:
         with pytest.raises(ParseError):
             read_curve('{"points": [')
 
+    def test_read_curve_reports_the_json_line_of_an_invalid_point(self):
+        payload = json.loads(write_curve(_sample_curve(), format="json"))
+        # Each point opens with '[' on a line of its own: point 2 on line 15.
+        assert json.dumps(payload, indent=2, sort_keys=True).splitlines()[14] == "    ["
+        cases = [
+            ([1.0, 1.6, 0.8], "y values"),
+            ([1.0, 0.5, 0.95], "thresholds"),
+            ([1.0, 0.5], "3-element list"),
+            ([1.0, "half", 0.8], "non-numeric point"),
+        ]
+        for point, reason in cases:
+            edited = dict(payload, points=payload["points"][:2] + [point] + payload["points"][3:])
+            with pytest.raises(ParseError, match=reason) as excinfo:
+                read_curve(json.dumps(edited, indent=2, sort_keys=True))
+            assert excinfo.value.line == 15, reason
+        # A point that is no list gets the line of the point list's '['.
+        edited = dict(payload, points=payload["points"][:2] + [7])
+        with pytest.raises(ParseError, match="3-element list") as excinfo:
+            read_curve(json.dumps(edited, indent=2, sort_keys=True))
+        assert excinfo.value.line == 4
+
+    def test_read_curve_rejects_malformed_json_documents(self):
+        # Only text that opens with '{' is read as JSON, so a parsed document is an object.
+        payload = json.loads(write_curve(_sample_curve(), format="json"))
+        cases = [
+            ("{" + json.dumps([payload]), "invalid JSON"),
+            (json.dumps({k: v for k, v in payload.items() if k != "points"}), "missing key"),
+            (json.dumps(dict(payload, points=5)), "'points' must be a list"),
+        ]
+        for text, reason in cases:
+            with pytest.raises(ParseError, match=reason) as excinfo:
+                read_curve(text)
+            assert excinfo.value.line == 1, reason
+
     def test_read_curve_rejects_unknown_semantics(self):
         text = write_curve(_sample_curve(), format="json")
         mangled = text.replace("fp_count", "bananas")
