@@ -116,6 +116,11 @@ def base_anchors(spec: AnchorSpec) -> list[Rect]:
     return anchors
 
 
+def _check_grid(feature_w: int, feature_h: int) -> None:
+    if feature_w < 1 or feature_h < 1:
+        raise ValueError(f"anchor_grid requires a non-empty grid, got {feature_w}x{feature_h}")
+
+
 def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
     """Tile the base anchors over a feature grid of the given size.
 
@@ -123,8 +128,7 @@ def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
     is row-major: j (rows) outermost, then i, then the anchor index, for
     exactly ``feature_w * feature_h * anchors_per_location`` boxes.
     """
-    if feature_w < 1 or feature_h < 1:
-        raise ValueError(f"anchor_grid requires a non-empty grid, got {feature_w}x{feature_h}")
+    _check_grid(feature_w, feature_h)
     bases = base_anchors(spec)
     grid = []
     for j in range(feature_h):

@@ -26,9 +26,14 @@ output regardless of ``--threads``.
 Exit status: 0 on success, 1 for bad input or flags, 2 if an internal
 invariant breaks (a bug, not a usage problem).
 
-Each flag's destination is a :class:`RunConfig` field, and a flag left
-out keeps that field's default, so every default is stated once; the
-``(default ...)`` notes in ``--help`` are rendered from those fields too.
+Each flag sets the :class:`RunConfig` field named after it (``--in``,
+a keyword, sets ``input_path``), and a flag left out keeps that field's
+default, so every default is stated once; the ``(default ...)`` notes in
+``--help`` are rendered from those fields too.  A range rule that a
+library function owns (the IoU threshold, the matcher, the proposal
+budgets and IoU grid, the anchor grid, the resize size and mode) is
+checked by calling that owner before any work, so its error names the
+library parameter.
 ``--threads`` is accepted for compatibility and must be at least 1;
 every subcommand runs on one thread and the value changes nothing.
 Ellipse areas use the IoU layer's fixed polygon; no flag changes its
@@ -50,8 +55,8 @@ from typing import NoReturn
 
 from ._version import __version__
 from .anchors import _LONG_SIDE, _RESIZE_MODES, _SHORT_SIDE, DEFAULT_ANCHOR_SPEC, AnchorSpec
-from .anchors import anchor_grid, resize_scale
-from .geometry import _score_order, nms
+from .anchors import _check_grid, anchor_grid, resize_scale
+from .geometry import _check_iou_threshold, _score_order, nms
 from .io import (
     _ANGLE_UNITS,
     _FORMATS,
@@ -65,6 +70,8 @@ from .io import (
 from .matching import Detection
 from .metrics import (
     _MATCH_IOU,
+    _check_matcher,
+    _check_recall_grid,
     MATCHERS,
     Curve,
     EvalDataset,
@@ -97,73 +104,63 @@ _EVAL_MODES = tuple(_MODE_BUILDERS)
 class RunConfig:
     """Validated flag set for one invocation.
 
-    One type covers every subcommand; each field is a flag's
-    destination, and its default is that flag's default (fields a
-    subcommand does not use keep theirs).  Construction performs all
-    validation, so a ``RunConfig`` that exists is safe to run: nothing
-    is read, computed, or written before the whole configuration has
-    been checked.
+    One type covers every subcommand; each field is named after the flag
+    that sets it (``input_path`` after ``--in``), and its default is that
+    flag's default (fields a subcommand does not use keep theirs).
+    ``width`` and ``height`` are grid cells for ``anchors`` and pixels
+    for ``resize-plan``.  Construction performs all validation, so a
+    ``RunConfig`` that exists is safe to run: nothing is read, computed,
+    or written before the whole configuration has been checked.  Range
+    rules that a library function owns are checked by calling that owner,
+    and only the rules no library states are written out here.
     """
 
     subcommand: str
-    gt_path: str | None = None
-    det_path: str | None = None
+    gt: str | None = None
+    det: str | None = None
     input_path: str = "-"
     mode: str = "discrete"
     matcher: str = "greedy"
-    iou_threshold: float = _MATCH_IOU
-    n_values: tuple[int, ...] = (100, 300, 500, 1000)
-    recall_thresholds: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
-    top_cap: int | None = None
-    query_x: float | None = None
-    out_path: str = "-"
-    out_format: str = "csv"
+    iou: float = _MATCH_IOU
+    top_n: tuple[int, ...] = (100, 300, 500, 1000)
+    iou_thresholds: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
+    top: int | None = None
+    query_fp: float | None = None
+    out: str = "-"
+    format: str = "csv"
     angle_unit: str = "radians"
     threads: int = 1
     dataset_name: str = ""
     scales: tuple[float, ...] = DEFAULT_ANCHOR_SPEC.scales
     ratios: tuple[float, ...] = DEFAULT_ANCHOR_SPEC.ratios
     stride: float = DEFAULT_ANCHOR_SPEC.stride
-    grid_w: int = 0
-    grid_h: int = 0
-    image_w: float = 0.0
-    image_h: float = 0.0
+    width: float = 0
+    height: float = 0
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {self.threads}")
-        if self.out_format not in _FORMATS:
-            raise ValueError(f"--format must be one of {_FORMATS}, got {self.out_format!r}")
+        if self.format not in _FORMATS:
+            raise ValueError(f"--format must be one of {_FORMATS}, got {self.format!r}")
         if self.angle_unit not in _ANGLE_UNITS:
             raise ValueError(
                 f"--angle-unit must be one of {_ANGLE_UNITS}, got {self.angle_unit!r}"
             )
         if self.subcommand in ("eval", "proposal-recall"):
-            if not self.gt_path or not self.det_path:
+            if not self.gt or not self.det:
                 raise ValueError("--gt and --det are required")
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ValueError(f"--iou must be in [0, 1], got {self.iou_threshold}")
+        _check_iou_threshold(self.iou)
         if self.subcommand == "eval":
             if self.mode not in _EVAL_MODES:
                 raise ValueError(f"--mode must be one of {_EVAL_MODES}, got {self.mode!r}")
-            if self.matcher not in MATCHERS:
-                raise ValueError(f"--matcher must be one of {MATCHERS}, got {self.matcher!r}")
-            if self.top_cap is not None and self.top_cap < 1:
-                raise ValueError(f"--top must be >= 1, got {self.top_cap}")
-            if self.query_x is not None and math.isnan(self.query_x):
+            _check_matcher(self.matcher)
+            if self.top is not None and self.top < 1:
+                raise ValueError(f"--top must be >= 1, got {self.top}")
+            if self.query_fp is not None and math.isnan(self.query_fp):
                 raise ValueError("--query-fp must not be NaN")
         elif self.subcommand == "proposal-recall":
-            if not self.n_values:
-                raise ValueError("--top-n must list at least one value")
-            if any(n < 1 for n in self.n_values):
-                raise ValueError(f"--top-n values must be >= 1, got {list(self.n_values)}")
-            if not self.recall_thresholds:
-                raise ValueError("--iou-thresholds must list at least one value")
-            if any(not 0.0 < t <= 1.0 for t in self.recall_thresholds):
-                raise ValueError(
-                    f"--iou-thresholds must lie in (0, 1], got {list(self.recall_thresholds)}"
-                )
-            if self.out_path == "-" and len(self.n_values) > 1:
+            _check_recall_grid(self.top_n, self.iou_thresholds)
+            if self.out == "-" and len(self.top_n) > 1:
                 raise ValueError(
                     "stdout can hold only one curve; pass a single --top-n value "
                     "or an --out prefix"
@@ -172,18 +169,10 @@ class RunConfig:
             if not self.input_path:
                 raise ValueError("an input path is required")
         elif self.subcommand == "anchors":
-            if self.grid_w < 1 or self.grid_h < 1:
-                raise ValueError(
-                    f"--width and --height must be >= 1, got {self.grid_w}x{self.grid_h}"
-                )
+            _check_grid(self.width, self.height)
             AnchorSpec(scales=self.scales, ratios=self.ratios, stride=self.stride)
         elif self.subcommand == "resize-plan":
-            if not (0 < self.image_w < math.inf and 0 < self.image_h < math.inf):
-                raise ValueError(
-                    f"--width and --height must be positive, got {self.image_w}x{self.image_h}"
-                )
-            if self.mode not in _RESIZE_MODES:
-                raise ValueError(f"--mode must be one of {_RESIZE_MODES}, got {self.mode!r}")
+            resize_scale(self.width, self.height, self.mode)
         else:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
 
@@ -219,8 +208,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_dataset(config: RunConfig) -> EvalDataset:
-    annotations = parse_region_list(_read_text(config.gt_path), angle_unit=config.angle_unit)
-    detections = parse_region_list(_read_text(config.det_path), angle_unit=config.angle_unit)
+    annotations = parse_region_list(_read_text(config.gt), angle_unit=config.angle_unit)
+    detections = parse_region_list(_read_text(config.det), angle_unit=config.angle_unit)
     return build_dataset(annotations, detections)
 
 
@@ -250,24 +239,24 @@ def _summarize(curve: Curve, query_x: float | None) -> str:
 
 def cmd_eval(config: RunConfig) -> int:
     ds = _load_dataset(config)
-    if config.top_cap is not None:
-        ds = _cap_detections(ds, config.top_cap)
+    if config.top is not None:
+        ds = _cap_detections(ds, config.top)
     build = _MODE_BUILDERS[config.mode]
-    curve = build(ds, config.matcher, iou_threshold=config.iou_threshold)
+    curve = build(ds, config.matcher, iou_threshold=config.iou)
     text = write_curve(
-        curve, config.out_format, dataset_name=config.dataset_name, matcher=config.matcher
+        curve, config.format, dataset_name=config.dataset_name, matcher=config.matcher
     )
-    _write_text(config.out_path, text)
-    print(_summarize(curve, config.query_x), file=sys.stderr)
+    _write_text(config.out, text)
+    print(_summarize(curve, config.query_fp), file=sys.stderr)
     return 0
 
 
 def cmd_proposal_recall(config: RunConfig) -> int:
     ds = _load_dataset(config)
-    curves = proposal_recall(ds, config.n_values, config.recall_thresholds)
-    for n, curve in zip(config.n_values, curves):
-        text = write_curve(curve, config.out_format, dataset_name=config.dataset_name)
-        path = "-" if config.out_path == "-" else f"{config.out_path}{n}.{config.out_format}"
+    curves = proposal_recall(ds, config.top_n, config.iou_thresholds)
+    for n, curve in zip(config.top_n, curves):
+        text = write_curve(curve, config.format, dataset_name=config.dataset_name)
+        path = "-" if config.out == "-" else f"{config.out}{n}.{config.format}"
         _write_text(path, text)
     return 0
 
@@ -275,22 +264,22 @@ def cmd_proposal_recall(config: RunConfig) -> int:
 def cmd_nms(config: RunConfig) -> int:
     regions = parse_scored_rects(_read_text(config.input_path))
     detections = [Detection(region=r.rect, score=r.score, image_id="") for r in regions]
-    kept = nms(detections, config.iou_threshold)
-    _write_text(config.out_path, "".join(format_rect(d.region, d.score) + "\n" for d in kept))
+    kept = nms(detections, config.iou)
+    _write_text(config.out, "".join(format_rect(d.region, d.score) + "\n" for d in kept))
     return 0
 
 
 def cmd_anchors(config: RunConfig) -> int:
     spec = AnchorSpec(scales=config.scales, ratios=config.ratios, stride=config.stride)
-    grid = anchor_grid(config.grid_w, config.grid_h, spec)
-    _write_text(config.out_path, "".join(format_rect(rect) + "\n" for rect in grid))
+    grid = anchor_grid(config.width, config.height, spec)
+    _write_text(config.out, "".join(format_rect(rect) + "\n" for rect in grid))
     return 0
 
 
 def cmd_resize_plan(config: RunConfig) -> int:
-    plan = resize_scale(config.image_w, config.image_h, config.mode)
+    plan = resize_scale(config.width, config.height, config.mode)
     _write_text(
-        config.out_path,
+        config.out,
         f"scale {plan.scale:.6f}\n"
         f"resized_width {plan.resized_w:.6f}\n"
         f"resized_height {plan.resized_h:.6f}\n",
@@ -321,7 +310,19 @@ def _default(dest: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with status 1, not 2."""
+    """Argument parser whose usage errors exit with status 1, not 2.
+
+    Each parser rejects the arguments it does not recognize itself, so a
+    stray flag after a subcommand is reported with that subcommand's usage.
+    """
+
+    def parse_known_args(
+        self, args: list[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
@@ -334,26 +335,14 @@ def _add_io_flags(
     formats: bool,
     out_help: str = "output path, or - for stdout (default)",
 ) -> None:
-    sub.add_argument("--out", dest="out_path", metavar="OUT", help=out_help)
+    sub.add_argument("--out", help=out_help)
     if formats:
-        sub.add_argument("--format", dest="out_format", choices=_FORMATS, help="curve file format")
+        sub.add_argument("--format", choices=_FORMATS, help="curve file format")
 
 
 def _add_dataset_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--gt",
-        dest="gt_path",
-        metavar="GT",
-        required=True,
-        help="ground-truth region file, or - for stdin",
-    )
-    sub.add_argument(
-        "--det",
-        dest="det_path",
-        metavar="DET",
-        required=True,
-        help="detection region file, or - for stdin",
-    )
+    sub.add_argument("--gt", required=True, help="ground-truth region file, or - for stdin")
+    sub.add_argument("--det", required=True, help="detection region file, or - for stdin")
     sub.add_argument(
         "--angle-unit", choices=_ANGLE_UNITS, help="unit of ellipse angles in the input files"
     )
@@ -388,24 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
         "normalized: discrete with false positives divided by the image count",
     )
     sub.add_argument("--matcher", choices=MATCHERS, help="assignment strategy")
+    sub.add_argument("--iou", type=float, help=f"IoU a match must exceed {_default('iou')}")
     sub.add_argument(
-        "--iou",
-        dest="iou_threshold",
-        metavar="IOU",
-        type=float,
-        help=f"IoU a match must exceed {_default('iou_threshold')}",
-    )
-    sub.add_argument(
-        "--top",
-        dest="top_cap",
-        metavar="TOP",
-        type=int,
-        help="evaluate only each image's N best-scored detections",
+        "--top", type=int, help="evaluate only each image's N best-scored detections"
     )
     sub.add_argument(
         "--query-fp",
-        dest="query_x",
-        metavar="QUERY_FP",
         type=float,
         help="also report the curve's y value at this x (false-positive budget)",
     )
@@ -419,17 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(sub)
     sub.add_argument(
         "--top-n",
-        dest="n_values",
         type=_int_list,
         metavar="N[,N...]",
-        help=f"proposal budgets, one output curve each {_default('n_values')}",
+        help=f"proposal budgets, one output curve each {_default('top_n')}",
     )
     sub.add_argument(
         "--iou-thresholds",
-        dest="recall_thresholds",
         type=_float_list,
         metavar="T[,T...]",
-        help=f"IoU thresholds to sweep {_default('recall_thresholds')}",
+        help=f"IoU thresholds to sweep {_default('iou_thresholds')}",
     )
     _add_io_flags(
         sub,
@@ -445,11 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--iou",
-        dest="iou_threshold",
-        metavar="IOU",
         type=float,
-        help="suppress a box overlapping a kept one by more than this "
-        + _default("iou_threshold"),
+        help=f"suppress a box overlapping a kept one by more than this {_default('iou')}",
     )
     _add_io_flags(sub, formats=False)
     sub.set_defaults(handler=cmd_nms)
@@ -470,42 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--stride", type=float, help=f"feature-cell size in pixels {_default('stride')}"
     )
-    sub.add_argument(
-        "--width",
-        dest="grid_w",
-        metavar="WIDTH",
-        type=int,
-        required=True,
-        help="feature-grid width in cells",
-    )
-    sub.add_argument(
-        "--height",
-        dest="grid_h",
-        metavar="HEIGHT",
-        type=int,
-        required=True,
-        help="feature-grid height in cells",
-    )
+    sub.add_argument("--width", type=int, required=True, help="feature-grid width in cells")
+    sub.add_argument("--height", type=int, required=True, help="feature-grid height in cells")
     _add_io_flags(sub, formats=False)
     sub.set_defaults(handler=cmd_anchors)
 
     sub = add_command("resize-plan", help="print the uniform rescale factor for an image size")
-    sub.add_argument(
-        "--width",
-        dest="image_w",
-        metavar="WIDTH",
-        type=float,
-        required=True,
-        help="image width in pixels",
-    )
-    sub.add_argument(
-        "--height",
-        dest="image_h",
-        metavar="HEIGHT",
-        type=float,
-        required=True,
-        help="image height in pixels",
-    )
+    sub.add_argument("--width", type=float, required=True, help="image width in pixels")
+    sub.add_argument("--height", type=float, required=True, help="image height in pixels")
     sub.add_argument(
         "--mode",
         required=True,

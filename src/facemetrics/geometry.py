@@ -42,8 +42,11 @@ _POLYGON_VERTICES = 1024
 
 
 def _score_order(scores: Sequence[float]) -> list[int]:
-    """Indices by descending score, ties by index: the order of every score-ranked visit."""
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    """Indices by descending score, ties by index: the order of every score-ranked visit.
+
+    A reverse sort is stable, so equal scores keep their index order.
+    """
+    return sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
 
 
 def _check_iou_threshold(iou_threshold: float) -> None:

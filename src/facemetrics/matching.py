@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
@@ -203,8 +204,9 @@ def greedy_assignment_by_iou(
 ) -> list[tuple[int, int, float]]:
     """Pair-driven greedy matching: highest IoU first, one-to-one.
 
-    Ties are broken by (row index, column index).  Used for proposal
-    recall, where no score ordering is wanted.
+    Ties are broken by (row index, column index): candidates are listed
+    row-major and a reverse sort is stable.  Used for proposal recall,
+    where no score ordering is wanted.
     """
     candidates = [
         (i, j, value)
@@ -212,7 +214,7 @@ def greedy_assignment_by_iou(
         for j, value in enumerate(row)
         if value > iou_threshold
     ]
-    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
+    candidates.sort(key=itemgetter(2), reverse=True)
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     pairs = []

@@ -180,6 +180,15 @@ def _check_dataset(ds: EvalDataset) -> None:
         raise ValueError("dataset has no ground truths; curves would be undefined")
 
 
+def _check_recall_grid(n_values: Sequence[int], iou_thresholds: Sequence[float]) -> None:
+    if not n_values:
+        raise ValueError("n_values must not be empty")
+    if any(n < 0 for n in n_values):
+        raise ValueError(f"n_values must be non-negative, got {list(n_values)}")
+    if any(not 0.0 < t <= 1.0 for t in iou_thresholds):
+        raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
+
+
 def _score_thresholds(ds: EvalDataset) -> list[float]:
     """Distinct scores, descending, preceded by +inf (the empty operating point)."""
     scores = {d.score for entry in ds.images.values() for d in entry.detections}
@@ -355,12 +364,7 @@ def proposal_recall(
     proposal.
     """
     _check_dataset(ds)
-    if not n_values:
-        raise ValueError("n_values must not be empty")
-    if any(n < 0 for n in n_values):
-        raise ValueError(f"n_values must be non-negative, got {list(n_values)}")
-    if any(not 0.0 < t <= 1.0 for t in iou_thresholds):
-        raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
+    _check_recall_grid(n_values, iou_thresholds)
     thresholds = sorted(iou_thresholds)
     per_image = [
         _image_recall_counts(entry, n_values, thresholds) for entry in ds.images.values()

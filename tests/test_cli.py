@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
@@ -13,8 +14,9 @@ import pytest
 
 from facemetrics import anchors, cli
 from facemetrics.cli import RunConfig, main
+from facemetrics.geometry import nms
 from facemetrics.io import build_dataset, parse_region_list, read_curve, write_curve
-from facemetrics.metrics import discrete_roc
+from facemetrics.metrics import MATCHERS, discrete_roc, proposal_recall
 
 DATA_DIR = Path(__file__).parent / "data"
 GT_PATH = str(DATA_DIR / "synthetic_gt.txt")
@@ -24,13 +26,13 @@ TWO_BOXES = "0 0 10 10 0.9\n1 1 10 10 0.8\n"
 
 # Each subcommand's required flags, and the RunConfig fields they set.
 REQUIRED_FLAGS = {
-    "eval": (["--gt", "g", "--det", "d"], {"gt_path": "g", "det_path": "d"}),
-    "proposal-recall": (["--gt", "g", "--det", "d"], {"gt_path": "g", "det_path": "d"}),
+    "eval": (["--gt", "g", "--det", "d"], {"gt": "g", "det": "d"}),
+    "proposal-recall": (["--gt", "g", "--det", "d"], {"gt": "g", "det": "d"}),
     "nms": ([], {}),
-    "anchors": (["--width", "3", "--height", "2"], {"grid_w": 3, "grid_h": 2}),
+    "anchors": (["--width", "3", "--height", "2"], {"width": 3, "height": 2}),
     "resize-plan": (
         ["--width", "3", "--height", "2", "--mode", "test"],
-        {"image_w": 3.0, "image_h": 2.0, "mode": "test"},
+        {"width": 3.0, "height": 2.0, "mode": "test"},
     ),
 }
 
@@ -39,43 +41,118 @@ def subcommand_parsers(parser):
     return parser._subparsers._group_actions[0].choices
 
 
-def fixture_curve(mode="discrete", matcher="greedy"):
-    ds = build_dataset(
+def fixture_dataset():
+    return build_dataset(
         parse_region_list(Path(GT_PATH).read_text()),
         parse_region_list(Path(DET_PATH).read_text()),
     )
+
+
+def fixture_curve(mode="discrete", matcher="greedy"):
     build = cli._MODE_BUILDERS[mode]
-    return build(ds, matcher)
+    return build(fixture_dataset(), matcher)
+
+
+def error_of(call, *args, **kwargs):
+    """The message of the ValueError that ``call(*args, **kwargs)`` raises, or None."""
+    try:
+        call(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestRunConfig:
     def test_eval_defaults_validate(self):
-        config = RunConfig(subcommand="eval", gt_path="g", det_path="d")
+        config = RunConfig(subcommand="eval", gt="g", det="d")
         assert config.mode == "discrete"
-        assert config.iou_threshold == 0.5
+        assert config.iou == 0.5
 
     def test_rejects_bad_values_before_any_work(self):
         with pytest.raises(ValueError, match="--threads"):
-            RunConfig(subcommand="eval", gt_path="g", det_path="d", threads=0)
-        with pytest.raises(ValueError, match="--iou"):
-            RunConfig(subcommand="eval", gt_path="g", det_path="d", iou_threshold=1.5)
+            RunConfig(subcommand="eval", gt="g", det="d", threads=0)
+        with pytest.raises(ValueError, match=re.escape("iou_threshold must be in [0, 1]")):
+            RunConfig(subcommand="eval", gt="g", det="d", iou=1.5)
         with pytest.raises(ValueError, match="--mode"):
-            RunConfig(subcommand="eval", gt_path="g", det_path="d", mode="fancy")
-        with pytest.raises(ValueError, match="--top-n"):
-            RunConfig(subcommand="proposal-recall", gt_path="g", det_path="d", n_values=(0,))
+            RunConfig(subcommand="eval", gt="g", det="d", mode="fancy")
+        with pytest.raises(ValueError, match="n_values"):
+            RunConfig(subcommand="proposal-recall", gt="g", det="d", top_n=(-1,))
         with pytest.raises(ValueError, match="stdout"):
-            RunConfig(subcommand="proposal-recall", gt_path="g", det_path="d", out_path="-")
-        with pytest.raises(ValueError, match="--width"):
-            RunConfig(subcommand="anchors", grid_w=0, grid_h=5)
-        with pytest.raises(ValueError, match="--mode"):
-            RunConfig(subcommand="resize-plan", image_w=100, image_h=100, mode="val")
+            RunConfig(subcommand="proposal-recall", gt="g", det="d", out="-")
+        with pytest.raises(ValueError, match="anchor_grid requires a non-empty grid"):
+            RunConfig(subcommand="anchors", width=0, height=5)
+        with pytest.raises(ValueError, match="resize_scale mode must be one of"):
+            RunConfig(subcommand="resize-plan", width=100, height=100, mode="val")
         with pytest.raises(ValueError, match="subcommand"):
             RunConfig(subcommand="frobnicate")
 
     def test_anchor_settings_are_checked_before_any_work(self):
         for bad in ({"scales": (math.inf,)}, {"ratios": (0.0,)}, {"stride": math.nan}):
             with pytest.raises(ValueError, match="AnchorSpec"):
-                RunConfig(subcommand="anchors", grid_w=1, grid_h=1, **bad)
+                RunConfig(subcommand="anchors", width=1, height=1, **bad)
+
+
+class TestRangeRulesFollowTheirOwners:
+    """RunConfig rejects a library-owned range exactly when the owner does, with its message."""
+
+    def test_iou_threshold(self):
+        ds = fixture_dataset()
+        outcomes = []
+        for iou in (
+            -0.0, 0.0, 1.0, math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+            math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.nan, math.inf,
+        ):
+            owner = error_of(discrete_roc, ds, iou_threshold=iou)
+            assert error_of(RunConfig, subcommand="eval", gt="g", det="d", iou=iou) == owner, iou
+            assert error_of(nms, [], iou) == owner, iou
+            assert error_of(RunConfig, subcommand="nms", iou=iou) == owner, iou
+            outcomes.append(owner)
+        assert None in outcomes and any(outcomes)
+
+    def test_matcher(self):
+        ds = fixture_dataset()
+        outcomes = []
+        for matcher in (*MATCHERS, "fancy"):
+            owner = error_of(discrete_roc, ds, matcher)
+            config = error_of(RunConfig, subcommand="eval", gt="g", det="d", matcher=matcher)
+            assert config == owner, matcher
+            outcomes.append(owner)
+        assert None in outcomes and any(outcomes)
+
+    def test_recall_grid(self):
+        ds = fixture_dataset()
+        outcomes = []
+        thresholds = (0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan)
+        for n, t in itertools.product((-1, 0, 1), thresholds):
+            owner = error_of(proposal_recall, ds, [n], [t])
+            config = error_of(
+                RunConfig,
+                subcommand="proposal-recall", gt="g", det="d", top_n=(n,), iou_thresholds=(t,),
+            )
+            assert config == owner, (n, t)
+            outcomes.append(owner)
+        assert None in outcomes and any(outcomes)
+
+    def test_anchor_grid(self):
+        outcomes = []
+        for width, height in itertools.product((0, 1), repeat=2):
+            owner = error_of(anchors.anchor_grid, width, height, anchors.DEFAULT_ANCHOR_SPEC)
+            config = error_of(RunConfig, subcommand="anchors", width=width, height=height)
+            assert config == owner, (width, height)
+            outcomes.append(owner)
+        assert None in outcomes and any(outcomes)
+
+    def test_resize_plan(self):
+        outcomes = []
+        sizes = (0.0, 5e-324, math.inf, math.nan, 450.0)
+        for width, height, mode in itertools.product(sizes, sizes, anchors._RESIZE_MODES):
+            owner = error_of(anchors.resize_scale, width, height, mode)
+            config = error_of(
+                RunConfig, subcommand="resize-plan", width=width, height=height, mode=mode
+            )
+            assert config == owner, (width, height, mode)
+            outcomes.append(owner)
+        assert None in outcomes and any(outcomes)
 
 
 class TestEval:
@@ -200,6 +277,13 @@ class TestProposalRecall:
         assert code == 1
         assert "stdout" in capsys.readouterr().err
 
+    def test_budget_zero_writes_the_library_curve(self, capsys):
+        code = main(["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "0"])
+        assert code == 0
+        (curve,) = proposal_recall(fixture_dataset(), [0], [i / 100 for i in range(50, 100, 5)])
+        assert capsys.readouterr().out == write_curve(curve, "csv")
+        assert {p.y for p in curve.points} == {0.0}
+
     def test_custom_thresholds(self, capsys):
         code = main(
             [
@@ -304,7 +388,7 @@ class TestResizePlan:
             assert main(["resize-plan", *size, "--mode", "test"]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "--width and --height must be positive" in captured.err
+            assert "resize_scale requires positive, finite dimensions" in captured.err
 
 
 class TestExitCodes:
@@ -336,7 +420,7 @@ class TestExitCodes:
     def test_validation_error_returns_1(self, capsys):
         code = main(["eval", "--gt", GT_PATH, "--det", DET_PATH, "--iou", "2.0"])
         assert code == 1
-        assert "--iou" in capsys.readouterr().err
+        assert "iou_threshold must be in [0, 1]" in capsys.readouterr().err
 
     def test_unwritable_output_returns_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "curve.csv"
@@ -384,12 +468,12 @@ class TestExitCodes:
             (
                 ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",
                  "--iou-thresholds", "0"],
-                "--iou-thresholds must lie in (0, 1]",
+                "iou_thresholds must lie in (0, 1]",
             ),
             (
                 ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",
                  "--iou-thresholds", "1.5"],
-                "--iou-thresholds must lie in (0, 1]",
+                "iou_thresholds must lie in (0, 1]",
             ),
             (["nms", "--in", ""], "an input path is required"),
             (
@@ -415,6 +499,18 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert f"error: {error}" in captured.err
+
+    @pytest.mark.parametrize("argv", [["eval", "--gt", GT_PATH, "--det", DET_PATH], ["nms"]])
+    def test_unrecognized_flag_is_reported_by_its_subcommand(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--bogus", "1"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: facemetrics {argv[0]} [-h]")
+        assert captured.err.endswith(
+            f"\nfacemetrics {argv[0]}: error: unrecognized arguments: --bogus 1\n"
+        )
 
 
 class TestThreadsResolution:
@@ -485,8 +581,7 @@ class TestHelp:
                 assert parse(match.group(1)) == defaults[action.dest], (name, action.dest)
                 checked.add(action.dest)
         assert checked == {
-            "threads", "iou_threshold", "n_values", "recall_thresholds",
-            "scales", "ratios", "stride",
+            "threads", "iou", "top_n", "iou_thresholds", "scales", "ratios", "stride",
         }
 
     def test_help_exits_0(self, capsys):

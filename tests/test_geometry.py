@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -316,6 +317,17 @@ def test_every_score_ranked_visit_takes_descending_score_then_index():
         # eval --top keeps the first k of that order, in input order.
         capped = cli._cap_detections(EvalDataset.from_images({"img": (dets, [])}), k)
         assert list(capped.images["img"].detections) == [dets[i] for i in sorted(expected[:k])]
+
+
+def test_score_order_matches_the_explicit_score_then_index_key():
+    # NaN-free, tie-heavy: signed zeros, subnormals and the float extremes.
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 1.0, -1.0,
+              sys.float_info.max, -sys.float_info.max, math.inf, -math.inf]
+    rng = random.Random(8)
+    for _ in range(2000):
+        scores = [rng.choice(values) for _ in range(rng.randint(0, 30))]
+        expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        assert geometry._score_order(scores) == expected
 
 
 def test_nms_suppressed_boxes_do_not_shadow_others():

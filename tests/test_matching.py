@@ -209,6 +209,32 @@ def test_greedy_assignment_by_iou_tie_order():
     assert greedy_assignment_by_iou(matrix, 0.0) == [(0, 0, 0.7), (1, 1, 0.7)]
 
 
+def test_greedy_assignment_by_iou_matches_the_explicit_iou_then_index_key():
+    # NaN-free, tie-heavy IoU values on both sides of the strict threshold.
+    values = [0.0, 5e-324, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0]
+    rng = random.Random(12)
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        matrix = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+        threshold = rng.choice([0.0, 0.5])
+        candidates = sorted(
+            (
+                (i, j, value)
+                for i, row in enumerate(matrix)
+                for j, value in enumerate(row)
+                if value > threshold
+            ),
+            key=lambda c: (-c[2], c[0], c[1]),
+        )
+        expected, used_rows, used_cols = [], set(), set()
+        for i, j, value in candidates:
+            if i not in used_rows and j not in used_cols:
+                used_rows.add(i)
+                used_cols.add(j)
+                expected.append((i, j, value))
+        assert greedy_assignment_by_iou(matrix, threshold) == expected
+
+
 def test_optimal_assignment_empty_and_inadmissible():
     assert optimal_assignment([], 0.5) == []
     assert optimal_assignment([[0.2, 0.3], [0.1, 0.0]], 0.5) == []
