@@ -189,7 +189,8 @@ def resize_scale(width: float, height: float, mode: str) -> ResizePlan:
     ``train`` scales the longer side to ``_LONG_SIDE``; ``test`` scales
     the shorter side to ``_SHORT_SIDE`` unless that would push the longer
     side past ``_LONG_SIDE``.  The formulas are applied as written, so
-    images smaller than the targets are scaled up (no cap at 1.0).
+    images smaller than the targets are scaled up (no cap at 1.0).  A size
+    so small that the scale overflows is rejected.
     """
     if not (0 < width < math.inf and 0 < height < math.inf):
         raise ValueError(f"resize_scale requires positive, finite dimensions, got {width}x{height}")
@@ -199,4 +200,6 @@ def resize_scale(width: float, height: float, mode: str) -> ResizePlan:
         scale = _LONG_SIDE / max(width, height)
     else:
         scale = min(_SHORT_SIDE / min(width, height), _LONG_SIDE / max(width, height))
+    if scale == math.inf:
+        raise ValueError(f"resize_scale overflows for dimensions {width}x{height}")
     return ResizePlan(scale=scale, resized_w=scale * width, resized_h=scale * height)

@@ -121,10 +121,10 @@ class Ellipse:
 
 @dataclass(frozen=True, slots=True)
 class Polygon:
-    """Simple polygon with counter-clockwise vertices.
+    """Simple polygon with counter-clockwise vertices, stored as given (no copy).
 
     Simplicity is not re-checked; every constructor in this module emits
-    non-self-intersecting vertex lists by construction.
+    non-self-intersecting tuples of float pairs by construction.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -132,7 +132,6 @@ class Polygon:
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError(f"Polygon requires >= 3 vertices, got {len(self.vertices)}")
-        object.__setattr__(self, "vertices", tuple((float(x), float(y)) for x, y in self.vertices))
 
     @property
     def area(self) -> float:

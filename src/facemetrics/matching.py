@@ -17,13 +17,14 @@ degenerate regions stay unmatched.
 Both matchers are deterministic.  Greedy breaks score ties by input
 index and IoU ties by lowest ground-truth index.  Optimal breaks
 total-IoU ties toward the lexicographically smallest set of
-(detection, ground truth) index pairs; ties are resolved in exact
-arithmetic, so equal totals are recognized reliably even though the
-IoU values are floats.  The tie-break is folded into the integer
-weights, so each connected cluster of admissible pairs (detections and
-ground truths linked through IoUs above the threshold) takes one
-Hungarian solve, cubic in the cluster's size; a cluster of one pair
-takes none.
+(detection, ground truth) index pairs.  Ties are resolved in exact
+arithmetic, on each IoU as an integer count of ``2**-1074``
+(:func:`_exact`, the unit of the continuous ROC totals too), so equal
+totals are recognized reliably.  The tie-break is folded into the
+integer weights, so each connected cluster of admissible pairs
+(detections and ground truths linked through IoUs above the threshold)
+takes one Hungarian solve, cubic in the cluster's size; a cluster of
+one pair takes none.
 """
 
 from __future__ import annotations
@@ -227,16 +228,15 @@ def greedy_assignment_by_iou(
     return pairs
 
 
-def _scaled_weights(values: Sequence[float]) -> list[int]:
-    """Represent floats as exact integers over a shared power-of-two denominator.
+# Every finite float is an integer multiple of 2**-1074, so IoUs kept as
+# integers over this denominator, and any sums of them, are exact.
+_EXACT_DENOMINATOR = 1 << 1074
 
-    Every finite float is a dyadic rational, so totals computed on these
-    integers are exact; comparisons between candidate assignments are
-    then free of accumulation error.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    common = max((den for _, den in ratios), default=1)
-    return [num * (common // den) for num, den in ratios]
+
+def _exact(value: float) -> int:
+    """``value`` as an exact integer count of the unit ``2**-1074``."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator * (_EXACT_DENOMINATOR // denominator)
 
 
 def _solve_square(cost: list[list[int]]) -> list[int]:
@@ -345,26 +345,24 @@ def optimal_assignment(
 
     Among equal-total assignments, returns the lexicographically
     smallest set of (row, col) pairs, sorted.  Totals are compared in
-    exact integer arithmetic.  The admissible pairs split into connected
-    components that share no row or column; each component with two or
-    more pairs takes one Hungarian solve on weights that fold the
-    tie-break in (:func:`_component_optimum`).  The tie-break holds per
-    component: with positive weights no optimum is a prefix of another,
-    so the lexicographic order of two optima is settled by the smallest
-    pair in their symmetric difference.
+    exact integer units of ``2**-1074`` (:func:`_exact`).  The admissible
+    pairs split into connected components that share no row or column;
+    each component with two or more pairs takes one Hungarian solve on
+    weights that fold the tie-break in (:func:`_component_optimum`).  The
+    tie-break holds per component: with positive weights no optimum is a
+    prefix of another, so the lexicographic order of two optima is
+    settled by the smallest pair in their symmetric difference.
     """
-    admissible = [
-        (i, j, value)
+    candidates = [
+        (i, j, value, _exact(value))
         for i, row in enumerate(matrix)
         for j, value in enumerate(row)
         if value > iou_threshold
     ]
-    if not admissible:
+    if not candidates:
         return []
-    weights = _scaled_weights([value for _, _, value in admissible])
-    items = [(i, j, value, w) for (i, j, value), w in zip(admissible, weights)]
     chosen = []
-    for component in _components(items, len(matrix)):
+    for component in _components(candidates, len(matrix)):
         if len(component) > 1:
             component = _component_optimum(component)
         chosen.extend((i, j, value) for i, j, value, _ in component)

@@ -25,11 +25,13 @@ comparison.
 Every operating point equals a from-scratch re-match at its threshold
 (``tests/oracles.py`` keeps that re-match as the reference).  An image's
 IoU total is the ``math.fsum`` of its matched IoUs, and the dataset total
-is the correctly rounded sum of those per-image totals: the events carry
-changes of the rounded per-image totals as exact integers, which are
-rounded once per threshold, so no total depends on the order it was
-summed in.  Score ties are broken by input index,
-so shuffling detections with *distinct* scores never changes any curve.
+is the correctly rounded sum of those per-image totals.  The events carry
+changes of the rounded per-image totals as exact integers (in the unit
+``2**-1074`` of :func:`~facemetrics.matching._exact`, which the optimal
+matcher's weights use too), rounded once per threshold, so no total
+depends on the order it was summed in.  Score ties are broken by input
+index, so shuffling detections with *distinct* scores never changes any
+curve.
 
 Ellipse ground truths are measured on the fixed polygon of the IoU
 layer (:func:`~facemetrics.matching.iou_matrix`), whose vertex count is
@@ -44,6 +46,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
+from .matching import _EXACT_DENOMINATOR, _exact
 from .matching import (
     Detection,
     GroundTruth,
@@ -74,14 +77,10 @@ MATCHERS = ("greedy", "optimal")
 # A detection matches a ground truth when their IoU exceeds this.
 _MATCH_IOU = 0.5
 
-_ROC_X = frozenset({"fp_count", "fp_per_image"})
-
-
 class XSemantics(str, Enum):
     FP_COUNT = "fp_count"
     FP_PER_IMAGE = "fp_per_image"
     IOU_THRESHOLD = "iou_threshold"
-    PROPOSAL_COUNT = "proposal_count"
 
 
 class YSemantics(str, Enum):
@@ -122,7 +121,7 @@ class Curve:
                 if point.x < previous.x:
                     raise CurvePointError("curve points must be sorted by ascending x", index)
                 if (
-                    self.x_semantics.value in _ROC_X
+                    self.x_semantics in (XSemantics.FP_COUNT, XSemantics.FP_PER_IMAGE)
                     and point.x > previous.x
                     and point.threshold > previous.threshold
                 ):
@@ -185,6 +184,8 @@ def _check_recall_grid(n_values: Sequence[int], iou_thresholds: Sequence[float])
         raise ValueError("n_values must not be empty")
     if any(n < 0 for n in n_values):
         raise ValueError(f"n_values must be non-negative, got {list(n_values)}")
+    if not iou_thresholds:
+        raise ValueError("iou_thresholds must not be empty")
     if any(not 0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
 
@@ -195,16 +196,6 @@ def _score_thresholds(ds: EvalDataset) -> list[float]:
     return [math.inf] + sorted(scores, reverse=True)
 
 
-# Every finite float is an integer multiple of 2**-1074, so IoU sums kept
-# as integers over this denominator are exact.
-_EXACT_DENOMINATOR = 1 << 1074
-
-
-def _exact(value: float) -> int:
-    numerator, denominator = value.as_integer_ratio()
-    return numerator * (_EXACT_DENOMINATOR // denominator)
-
-
 def _image_events(
     entry: ImageEntries,
     matcher: str,
@@ -213,7 +204,7 @@ def _image_events(
     """One image's (score, TP change, FP change, IoU-sum change) per own distinct score.
 
     The IoU-sum change is that of the image's rounded ``fsum`` total, in
-    exact units (see :func:`_exact`).
+    exact units (see :func:`~facemetrics.matching._exact`).
     """
     dets, gts = entry
     if not dets:

@@ -170,6 +170,20 @@ def test_resize_scale_rejects_non_finite_dimensions():
                     resize_scale(width, height, mode)
 
 
+def test_resize_scale_rejects_an_overflowing_scale():
+    for mode in ("train", "test"):
+        with pytest.raises(ValueError, match="resize_scale overflows for dimensions 5e-324x5e-324"):
+            resize_scale(5e-324, 5e-324, mode)
+
+
+def test_box_delta_rejects_non_finite_fields():
+    for name in ("tx", "ty", "tw", "th"):
+        for bad in (math.nan, math.inf):
+            fields = {"tx": 0.0, "ty": 0.0, "tw": 0.0, "th": 0.0, name: bad}
+            with pytest.raises(ValueError, match=f"BoxDelta.{name} must be finite"):
+                BoxDelta(**fields)
+
+
 def test_resize_scale_validation():
     with pytest.raises(ValueError):
         resize_scale(0.0, 100.0, "train")

@@ -86,6 +86,15 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="subcommand"):
             RunConfig(subcommand="frobnicate")
 
+    def test_rejects_rules_only_the_cli_states(self):
+        with pytest.raises(ValueError, match="--format must be one of .*, got 'xml'"):
+            RunConfig(subcommand="eval", gt="g", det="d", format="xml")
+        with pytest.raises(ValueError, match="--angle-unit must be one of"):
+            RunConfig(subcommand="eval", gt="g", det="d", angle_unit="gradians")
+        for subcommand in ("eval", "proposal-recall"):
+            with pytest.raises(ValueError, match="--gt and --det are required"):
+                RunConfig(subcommand=subcommand, det="d")
+
     def test_anchor_settings_are_checked_before_any_work(self):
         for bad in ({"scales": (math.inf,)}, {"ratios": (0.0,)}, {"stride": math.nan}):
             with pytest.raises(ValueError, match="AnchorSpec"):
@@ -123,13 +132,14 @@ class TestRangeRulesFollowTheirOwners:
         ds = fixture_dataset()
         outcomes = []
         thresholds = (0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan)
-        for n, t in itertools.product((-1, 0, 1), thresholds):
-            owner = error_of(proposal_recall, ds, [n], [t])
+        grids = [(t,) for t in thresholds] + [()]
+        for n, grid in itertools.product((-1, 0, 1), grids):
+            owner = error_of(proposal_recall, ds, [n], list(grid))
             config = error_of(
                 RunConfig,
-                subcommand="proposal-recall", gt="g", det="d", top_n=(n,), iou_thresholds=(t,),
+                subcommand="proposal-recall", gt="g", det="d", top_n=(n,), iou_thresholds=grid,
             )
-            assert config == owner, (n, t)
+            assert config == owner, (n, grid)
             outcomes.append(owner)
         assert None in outcomes and any(outcomes)
 
@@ -429,6 +439,29 @@ class TestExitCodes:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_rename_removes_the_staged_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert main(["anchors", "--width", "1", "--height", "1", "--out", str(taken)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("facemetrics: error: ")
+        assert captured.err.endswith(f": '{taken}'\n")
+        assert list(tmp_path.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_detection_score_names_its_line(self, score, tmp_path, capsys):
+        det = tmp_path / "det.txt"
+        det.write_text(f"img\n1\n0 0 10 10 {score}\n")
+        assert main(["eval", "--gt", GT_PATH, "--det", str(det)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "facemetrics: error: line 3: invalid rectangle: "
+            f"region score must be finite, got {float(score)!r}\n"
+        )
+
     def test_failed_write_names_the_given_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         runs = [
@@ -487,6 +520,10 @@ class TestExitCodes:
             (
                 ["eval", "--gt", GT_PATH, "--det", DET_PATH, "--ellipse-n", "64"],
                 "unrecognized arguments: --ellipse-n 64",
+            ),
+            (
+                ["resize-plan", "--width", "5e-324", "--height", "5e-324", "--mode", "test"],
+                "resize_scale overflows for dimensions 5e-324x5e-324",
             ),
         ],
     )

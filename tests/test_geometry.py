@@ -91,6 +91,13 @@ def test_polygon_validation_and_area():
     assert square.vertices[1] == (2.0, 0.0)
 
 
+def test_polygon_stores_its_vertices_as_given():
+    vertices = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    assert Polygon(vertices).vertices is vertices
+    polygon = ellipse_to_polygon(Ellipse(3.0, -2.0, 5.0, 2.0, 0.3), 64)
+    assert all(type(x) is float and type(y) is float for x, y in polygon.vertices)
+
+
 def test_ellipse_validation():
     with pytest.raises(ValueError):
         Ellipse(center_x=0, center_y=0, semi_major=2.0, semi_minor=0.0, angle=0.0)

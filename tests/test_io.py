@@ -9,6 +9,7 @@ import pytest
 
 from facemetrics.geometry import Ellipse, Rect
 from facemetrics.io import (
+    AnnotationEntry,
     AnnotationFile,
     ParseError,
     RectRegion,
@@ -125,6 +126,11 @@ class TestParseRegionList:
         text = "img_a\n1\n0 0 1 1\nimg_b\n0\nimg_a\n1\n2 2 3 3\n"
         with pytest.raises(ValueError, match="line 1"):
             parse_region_list(text)
+
+    def test_annotation_file_rejects_duplicate_image_ids(self):
+        entries = (AnnotationEntry("a", ()), AnnotationEntry("b", ()), AnnotationEntry("a", ()))
+        with pytest.raises(ValueError, match=r"duplicate image ids: \['a'\]"):
+            AnnotationFile(entries)
 
     def test_error_carries_line_and_reason(self):
         try:
@@ -297,6 +303,24 @@ class TestCurveSerialization:
     def test_read_curve_rejects_missing_header(self):
         with pytest.raises(ParseError):
             read_curve("0,0,inf\n1,0.5,0.9\n")
+
+    def test_read_curve_names_the_line_of_a_bad_csv_header(self):
+        cases = [
+            ("# curve\nx,y,threshold\n", 1, "must define x= and y="),
+            ("# x=fp_count\nx,y,threshold\n", 1, "must define x= and y="),
+            ("# x=fp_count y=tpr_discrete\n0,0,inf\n", 2, "header row"),
+            ("# x=fp_count y=tpr_discrete\n", 2, "header row"),
+        ]
+        for text, line, reason in cases:
+            with pytest.raises(ParseError, match=reason) as excinfo:
+                read_curve(text)
+            assert excinfo.value.line == line, text
+
+    def test_read_curve_rejects_proposal_count_semantics(self):
+        text = "# x=proposal_count y=detection_rate\nx,y,threshold\n1,0.5,1\n"
+        with pytest.raises(ParseError, match="proposal_count") as excinfo:
+            read_curve(text)
+        assert excinfo.value.line == 1
 
     def test_read_curve_rejects_bad_row(self):
         text = write_curve(_sample_curve(), format="csv") + "1,2\n"

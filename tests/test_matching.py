@@ -189,6 +189,21 @@ def test_match_outcome_validation():
         )
 
 
+def test_match_outcome_rejects_reused_ground_truths():
+    with pytest.raises(ValueError, match="ground-truth index appears in more than one pair"):
+        MatchOutcome(
+            pairs=(MatchPair(0, 0, 0.9), MatchPair(1, 0, 0.8)),
+            unmatched_detections=frozenset(),
+            unmatched_ground_truths=frozenset(),
+        )
+    with pytest.raises(ValueError, match="ground-truth index is both paired and unmatched"):
+        MatchOutcome(
+            pairs=(MatchPair(0, 0, 0.9),),
+            unmatched_detections=frozenset(),
+            unmatched_ground_truths=frozenset({0}),
+        )
+
+
 def test_greedy_assignment_priority_order_matters():
     matrix = [[0.9, 0.8], [0.85, 0.0]]
     # Row 0 first: it takes column 0 and row 1 is left with nothing.

@@ -322,6 +322,11 @@ def test_proposal_recall_validation():
         proposal_recall(ds, [5], [1.1])
 
 
+def test_proposal_recall_rejects_an_empty_iou_grid():
+    with pytest.raises(ValueError, match="iou_thresholds must not be empty"):
+        proposal_recall(_single_image_dataset(), [5], [])
+
+
 def test_proposal_recall_is_monotone():
     rng = random.Random(3)
     thresholds = [i / 20 for i in range(10, 20)]
