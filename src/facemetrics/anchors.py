@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .geometry import Rect, _score_order
+from .geometry import Rect
 
 __all__ = [
     "AnchorSpec",
@@ -129,17 +130,15 @@ def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
     exactly ``feature_w * feature_h * anchors_per_location`` boxes.
     """
     _check_grid(feature_w, feature_h)
-    bases = base_anchors(spec)
-    grid = []
-    for j in range(feature_h):
-        cy = (j + 0.5) * spec.stride
-        for i in range(feature_w):
-            cx = (i + 0.5) * spec.stride
-            for base in bases:
-                grid.append(
-                    Rect(base.x_min + cx, base.y_min + cy, base.x_max + cx, base.y_max + cy)
-                )
-    return grid
+    bases = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in base_anchors(spec)]
+    xs = [(i + 0.5) * spec.stride for i in range(feature_w)]
+    ys = [(j + 0.5) * spec.stride for j in range(feature_h)]
+    return [
+        Rect(x0 + cx, y0 + cy, x1 + cx, y1 + cy)
+        for cy in ys
+        for cx in xs
+        for x0, y0, x1, y1 in bases
+    ]
 
 
 def encode(proposal: Rect, anchor: Rect) -> BoxDelta:
@@ -164,23 +163,24 @@ def encode(proposal: Rect, anchor: Rect) -> BoxDelta:
 
 def decode(delta: BoxDelta, anchor: Rect) -> Rect:
     """Inverse of :func:`encode`: apply offsets to an anchor."""
-    aw = anchor.width
-    ah = anchor.height
+    x0, y0, x1, y1 = anchor.x_min, anchor.y_min, anchor.x_max, anchor.y_max
+    aw = x1 - x0
+    ah = y1 - y0
     if aw <= 0 or ah <= 0:
         raise ValueError(f"decode requires a positive-size anchor, got {aw}x{ah}")
-    acx, acy = anchor.center
-    cx = acx + delta.tx * aw
-    cy = acy + delta.ty * ah
-    w = aw * math.exp(delta.tw)
-    h = ah * math.exp(delta.th)
-    return Rect(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+    cx = 0.5 * (x0 + x1) + delta.tx * aw
+    cy = 0.5 * (y0 + y1) + delta.ty * ah
+    half_w = 0.5 * (aw * math.exp(delta.tw))
+    half_h = 0.5 * (ah * math.exp(delta.th))
+    return Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
 
 def top_n(scored: list[tuple[Rect, float]], n: int) -> list[tuple[Rect, float]]:
     """The ``n`` highest-scoring entries, descending score, ties by input index."""
     if n < 0:
         raise ValueError(f"top_n requires n >= 0, got {n}")
-    return [scored[i] for i in _score_order([score for _, score in scored])[:n]]
+    # A reverse sort is stable, so equal scores keep their input order.
+    return sorted(scored, key=itemgetter(1), reverse=True)[:n]
 
 
 def resize_scale(width: float, height: float, mode: str) -> ResizePlan:

@@ -17,8 +17,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for annotations; Detection lives in matching
@@ -39,6 +41,7 @@ __all__ = [
 
 # Vertex count of the inscribed polygon that stands in for an ellipse.
 _POLYGON_VERTICES = 1024
+_INF = math.inf
 
 
 def _score_order(scores: Sequence[float]) -> list[int]:
@@ -54,24 +57,72 @@ def _check_iou_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
 
 
-@dataclass(frozen=True, slots=True)
+def _check_rect_fields(x_min: float, y_min: float, x_max: float, y_max: float) -> None:
+    """Raise the first of a Rect's field errors: a non-finite field, then inverted corners."""
+    for name, value in (("x_min", x_min), ("y_min", y_min), ("x_max", x_max), ("y_max", y_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"Rect.{name} must be finite, got {value!r}")
+    if x_max < x_min:
+        raise ValueError(f"Rect requires x_max >= x_min, got {x_min}..{x_max}")
+    if y_max < y_min:
+        raise ValueError(f"Rect requires y_max >= y_min, got {y_min}..{y_max}")
+
+
 class Rect:
-    """Axis-aligned rectangle with min/max corners."""
+    """Axis-aligned rectangle with min/max corners.
+
+    An immutable value with the contract of a frozen dataclass: equality
+    with other ``Rect`` objects only, the hash of the field tuple, the
+    dataclass ``repr``, and :class:`dataclasses.FrozenInstanceError` on
+    assignment or deletion.  It is a plain slotted class because
+    region-proposal code builds one per anchor and per decoded box.
+    """
+
+    __slots__ = ("x_min", "y_min", "x_max", "y_max")
+    __match_args__ = __slots__
 
     x_min: float
     y_min: float
     x_max: float
     y_max: float
 
-    def __post_init__(self) -> None:
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"Rect.{name} must be finite, got {value!r}")
-        if self.x_max < self.x_min:
-            raise ValueError(f"Rect requires x_max >= x_min, got {self.x_min}..{self.x_max}")
-        if self.y_max < self.y_min:
-            raise ValueError(f"Rect requires y_max >= y_min, got {self.y_min}..{self.y_max}")
+    def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
+        try:
+            valid = -_INF < x_min <= x_max < _INF and -_INF < y_min <= y_max < _INF
+        except (TypeError, ArithmeticError):  # a non-number, or a Decimal NaN
+            valid = False
+        if not valid:
+            # Raises the error of the first bad field (a TypeError for a non-number).
+            _check_rect_fields(x_min, y_min, x_max, y_max)
+        _set_x_min(self, x_min)
+        _set_y_min(self, y_min)
+        _set_x_max(self, x_max)
+        _set_y_max(self, y_max)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _corners(self) == _corners(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_corners(self))
+
+    def __repr__(self) -> str:
+        return (
+            f"Rect(x_min={self.x_min!r}, y_min={self.y_min!r}, "
+            f"x_max={self.x_max!r}, y_max={self.y_max!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through __init__: the default slot-state restore would
+        # go through the frozen __setattr__.
+        return (type(self), _corners(self))
 
     @property
     def width(self) -> float:
@@ -89,6 +140,13 @@ class Rect:
     def from_xywh(cls, x: float, y: float, width: float, height: float) -> "Rect":
         """Build from left-top corner plus size (the detection-file layout)."""
         return cls(x, y, x + width, y + height)
+
+
+_corners = attrgetter(*Rect.__slots__)
+# The slots' own setters, which bypass the frozen __setattr__.
+_set_x_min, _set_y_min, _set_x_max, _set_y_max = (
+    getattr(Rect, name).__set__ for name in Rect.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,12 +218,14 @@ def iou_rect(a: Rect, b: Rect) -> float:
     Returns 0 when the union has zero area, so degenerate rectangles
     never match anything.
     """
-    inter_w = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    inter_h = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    ax0, ay0, ax1, ay1 = a.x_min, a.y_min, a.x_max, a.y_max
+    bx0, by0, bx1, by1 = b.x_min, b.y_min, b.x_max, b.y_max
+    inter_w = min(ax1, bx1) - max(ax0, bx0)
+    inter_h = min(ay1, by1) - max(ay0, by0)
     if inter_w <= 0 or inter_h <= 0:
         return 0.0
     inter = inter_w * inter_h
-    union = area(a) + area(b) - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union <= 0:
         return 0.0
     return inter / union
@@ -181,18 +241,23 @@ def ellipse_to_polygon(ellipse: Ellipse, n: int) -> Polygon:
         raise ValueError(f"ellipse_to_polygon requires n >= 8, got {n}")
     cos_t = math.cos(ellipse.angle)
     sin_t = math.sin(ellipse.angle)
+    a = ellipse.semi_major
+    b = ellipse.semi_minor
+    cx = ellipse.center_x
+    cy = ellipse.center_y
     vertices = []
-    for k in range(n):
-        t = 2.0 * math.pi * k / n
-        px = ellipse.semi_major * math.cos(t)
-        py = ellipse.semi_minor * math.sin(t)
-        vertices.append(
-            (
-                ellipse.center_x + px * cos_t - py * sin_t,
-                ellipse.center_y + px * sin_t + py * cos_t,
-            )
-        )
+    append = vertices.append
+    for cos_k, sin_k in _unit_circle(n):
+        px = a * cos_k
+        py = b * sin_k
+        append((cx + px * cos_t - py * sin_t, cy + px * sin_t + py * cos_t))
     return Polygon(tuple(vertices))
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _unit_circle(n: int) -> tuple[tuple[float, float], ...]:
+    """``(cos t, sin t)`` at ``t = 2 pi k / n`` for k = 0 .. n - 1."""
+    return tuple((math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / n for k in range(n)))
 
 
 def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) -> list[tuple[float, float]]:

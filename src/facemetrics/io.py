@@ -368,11 +368,28 @@ def _json_with_list_lines(text: str) -> tuple[object, dict[int, int]]:
 
 
 def _curve_from_json(text: str) -> Curve:
-    """Curve from JSON text that opens with ``{``, so the parsed document is an object."""
+    """Curve from JSON text that opens with ``{``, so the parsed document is an object.
+
+    The C scanner parses first.  Only when that parse or the curve built
+    from it fails is the text parsed again with line tracking, so the
+    error names the line it was found on.
+    """
+    try:
+        return _curve_from_payload(json.loads(text), None)
+    except (ValueError, RecursionError):  # JSONDecodeError and ParseError are ValueErrors
+        pass
     try:
         payload, lines = _json_with_list_lines(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    return _curve_from_payload(payload, lines)
+
+
+def _curve_from_payload(payload: dict, lines: dict[int, int] | None) -> Curve:
+    """Curve from a parsed JSON object; ``lines`` maps each list's ``id`` to its line.
+
+    Without ``lines``, every error is reported as line 0.
+    """
     try:
         x_name = payload["x_semantics"]
         y_name = payload["y_semantics"]
@@ -386,7 +403,7 @@ def _curve_from_json(text: str) -> Curve:
     linenos = []
     for raw in raw_points:
         # A point's line is that of its '['; a point that is no list gets the point list's.
-        lineno = lines[id(raw if isinstance(raw, list) else raw_points)]
+        lineno = 0 if lines is None else lines[id(raw if isinstance(raw, list) else raw_points)]
         if not isinstance(raw, list) or len(raw) != 3:
             raise ParseError(f"each point must be a 3-element list, got {raw!r}", lineno)
         try:

@@ -188,6 +188,13 @@ def _check_recall_grid(n_values: Sequence[int], iou_thresholds: Sequence[float])
         raise ValueError("iou_thresholds must not be empty")
     if any(not 0.0 < t <= 1.0 for t in iou_thresholds):
         raise ValueError(f"iou_thresholds must lie in (0, 1], got {list(iou_thresholds)}")
+    # Each value names one output (a curve, a point): a repeat would write it twice.
+    for name, values in (("n_values", n_values), ("iou_thresholds", iou_thresholds)):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ValueError(f"{name} must not repeat a value, got {value} more than once")
+            seen.add(value)
 
 
 def _score_thresholds(ds: EvalDataset) -> list[float]:

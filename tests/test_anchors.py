@@ -74,6 +74,17 @@ def test_anchor_grid_size_and_order():
     assert grid[4 * k + 2 * k + 1].center == (40.0, 24.0)
 
 
+def test_anchor_grid_matches_the_nested_loop_bit_for_bit():
+    spec = AnchorSpec(scales=(100.0, 33.3), ratios=(0.7, 1.9, 1.0), stride=12.7)
+    expected = [
+        Rect(b.x_min + cx, b.y_min + cy, b.x_max + cx, b.y_max + cy)
+        for cy in ((j + 0.5) * spec.stride for j in range(3))
+        for cx in ((i + 0.5) * spec.stride for i in range(5))
+        for b in base_anchors(spec)
+    ]
+    assert [_hex_corners(r) for r in anchor_grid(5, 3, spec)] == [_hex_corners(r) for r in expected]
+
+
 def test_anchor_grid_rejects_empty():
     with pytest.raises(ValueError):
         anchor_grid(0, 3, DEFAULT_ANCHOR_SPEC)
@@ -126,6 +137,70 @@ def test_decode_inverts_encode():
         assert restored.y_min == pytest.approx(proposal.y_min, abs=1e-9)
         assert restored.x_max == pytest.approx(proposal.x_max, abs=1e-9)
         assert restored.y_max == pytest.approx(proposal.y_max, abs=1e-9)
+
+
+def _decode_by_properties(delta, anchor):
+    """``decode`` through ``width``, ``height`` and ``center``."""
+    aw = anchor.width
+    ah = anchor.height
+    if aw <= 0 or ah <= 0:
+        raise ValueError(f"decode requires a positive-size anchor, got {aw}x{ah}")
+    acx, acy = anchor.center
+    cx = acx + delta.tx * aw
+    cy = acy + delta.ty * ah
+    w = aw * math.exp(delta.tw)
+    h = ah * math.exp(delta.th)
+    return Rect(cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h)
+
+
+def _hex_corners(rect):
+    return [v.hex() for v in (rect.x_min, rect.y_min, rect.x_max, rect.y_max)]
+
+
+def test_decode_matches_the_property_formula_bit_for_bit():
+    rng = random.Random(17)
+    grid = anchor_grid(7, 5, DEFAULT_ANCHOR_SPEC)
+    for _ in range(2000):
+        if rng.random() < 0.5:
+            anchor = rng.choice(grid)
+        else:
+            x = rng.uniform(-1e4, 1e4)
+            y = rng.uniform(-1e4, 1e4)
+            anchor = Rect(x, y, x + rng.uniform(1e-3, 900.0), y + rng.uniform(1e-3, 900.0))
+        delta = BoxDelta(*(rng.gauss(0.0, 0.5) for _ in range(4)))
+        got = decode(delta, anchor)
+        assert _hex_corners(got) == _hex_corners(_decode_by_properties(delta, anchor))
+    delta = BoxDelta(0.1, -0.2, 0.3, 0.0)
+    for anchor in (Rect(1.0, 2.0, 1.0, 7.0), Rect(1.0, 2.0, 4.0, 2.0), Rect(3.0, 3.0, 3.0, 3.0)):
+        with pytest.raises(ValueError) as excinfo:
+            decode(delta, anchor)
+        with pytest.raises(ValueError) as reference:
+            _decode_by_properties(delta, anchor)
+        assert str(excinfo.value) == str(reference.value)
+        assert str(excinfo.value).startswith("decode requires a positive-size anchor, got ")
+
+
+def _top_n_by_score_order(scored, n):
+    """``top_n`` through an index list sorted by descending score."""
+    scores = [score for _, score in scored]
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    return [scored[i] for i in order[:n]]
+
+
+def test_top_n_matches_the_index_order_on_ties():
+    rng = random.Random(19)
+    for _ in range(500):
+        length = rng.randint(0, 60)
+        values = [rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, math.inf]) for _ in range(4)]
+        scored = [
+            (Rect(0.0, 0.0, 1.0, 1.0), rng.choice(values) if rng.random() < 0.9 else rng.random())
+            for _ in range(length)
+        ]
+        for n in {0, 1, length, rng.randint(0, length + 2)}:
+            got = top_n(scored, n)
+            assert [id(entry) for entry in got] == [
+                id(entry) for entry in _top_n_by_score_order(scored, n)
+            ], (scored, n)
 
 
 def test_top_n_selection():

@@ -132,14 +132,14 @@ class TestRangeRulesFollowTheirOwners:
         ds = fixture_dataset()
         outcomes = []
         thresholds = (0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), math.nan)
-        grids = [(t,) for t in thresholds] + [()]
-        for n, grid in itertools.product((-1, 0, 1), grids):
-            owner = error_of(proposal_recall, ds, [n], list(grid))
+        grids = [(t,) for t in thresholds] + [(), (0.5, 0.7, 0.5)]
+        for ns, grid in itertools.product(((-1,), (0,), (1,), (1, 1)), grids):
+            owner = error_of(proposal_recall, ds, list(ns), list(grid))
             config = error_of(
                 RunConfig,
-                subcommand="proposal-recall", gt="g", det="d", top_n=(n,), iou_thresholds=grid,
+                subcommand="proposal-recall", gt="g", det="d", top_n=ns, iou_thresholds=grid,
             )
-            assert config == owner, (n, grid)
+            assert config == owner, (ns, grid)
             outcomes.append(owner)
         assert None in outcomes and any(outcomes)
 
@@ -524,6 +524,15 @@ class TestExitCodes:
             (
                 ["resize-plan", "--width", "5e-324", "--height", "5e-324", "--mode", "test"],
                 "resize_scale overflows for dimensions 5e-324x5e-324",
+            ),
+            (
+                ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5,5"],
+                "n_values must not repeat a value, got 5 more than once",
+            ),
+            (
+                ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",
+                 "--iou-thresholds", "0.5,0.5,0.7"],
+                "iou_thresholds must not repeat a value, got 0.5 more than once",
             ),
         ],
     )

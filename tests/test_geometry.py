@@ -1,7 +1,12 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
+from dataclasses import FrozenInstanceError, dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,17 +32,20 @@ import oracles
 
 
 def test_rect_rejects_inverted_corners():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Rect requires x_max >= x_min, got 5\.0\.\.4\.0$"):
         Rect(5.0, 0.0, 4.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^Rect requires y_max >= y_min, got 5\.0\.\.4\.0$"):
         Rect(0.0, 5.0, 1.0, 4.0)
 
 
 def test_rect_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Rect(0.0, 0.0, math.nan, 1.0)
-    with pytest.raises(ValueError):
-        Rect(0.0, 0.0, math.inf, 1.0)
+    for index, name in enumerate(("x_min", "y_min", "x_max", "y_max")):
+        for bad in (math.nan, math.inf, -math.inf):
+            fields = [0.0, 0.0, 1.0, 1.0]
+            fields[index] = bad
+            with pytest.raises(ValueError) as excinfo:
+                Rect(*fields)
+            assert str(excinfo.value) == f"Rect.{name} must be finite, got {bad!r}"
 
 
 def test_rect_allows_degenerate():
@@ -52,6 +60,103 @@ def test_rect_properties():
     assert r.height == 4.0
     assert r.center == (7.0, 5.0)
     assert area(r) == 40.0
+
+
+@dataclass(frozen=True, slots=True)
+class _DataclassRect:
+    """The frozen dataclass ``Rect`` once was: the reference for its contract."""
+
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+
+    def __post_init__(self) -> None:
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"Rect.{name} must be finite, got {value!r}")
+        if self.x_max < self.x_min:
+            raise ValueError(f"Rect requires x_max >= x_min, got {self.x_min}..{self.x_max}")
+        if self.y_max < self.y_min:
+            raise ValueError(f"Rect requires y_max >= y_min, got {self.y_min}..{self.y_max}")
+
+
+def _outcome(cls, fields):
+    try:
+        rect = cls(*fields)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return repr(rect).replace(cls.__name__, "Rect", 1), hash(rect)
+
+
+def test_rect_checks_match_the_dataclass_field_by_field():
+    # Every field from a pool of finite, non-finite, non-numeric and
+    # inverted-making values: the same error, in the same order of checks.
+    pool = [0.0, -0.0, 1.0, 2, -3.5, 5e-324, 1e308, math.nan, math.inf, -math.inf, "1",
+            Decimal("NaN"), Fraction(1, 3)]
+    for fields in itertools.product(pool, repeat=4):
+        assert _outcome(Rect, fields) == _outcome(_DataclassRect, fields), fields
+
+
+def test_rect_reports_a_non_finite_field_first_and_the_first_bad_field_first():
+    with pytest.raises(ValueError, match=r"^Rect\.y_max must be finite, got nan$"):
+        Rect(5.0, 0.0, 4.0, math.nan)
+    with pytest.raises(ValueError, match=r"^Rect\.x_min must be finite, got nan$"):
+        Rect(math.nan, math.inf, -math.inf, math.nan)
+    with pytest.raises(ValueError, match=r"^Rect\.y_min must be finite, got inf$"):
+        Rect(0.0, math.inf, 1.0, math.nan)
+    with pytest.raises(ValueError, match=r"^Rect requires x_max >= x_min, got 5\.0\.\.4\.0$"):
+        Rect(5.0, 5.0, 4.0, 4.0)
+
+
+def test_rect_rejects_a_string_field_with_the_isfinite_type_error():
+    with pytest.raises(TypeError, match=r"^must be real number, not str$"):
+        Rect(0.0, "1", 1.0, 2.0)
+
+
+def test_rect_equality_hash_and_repr():
+    rect = Rect(0.5, 1.0, 2.0, 3.25)
+    assert rect == Rect(0.5, 1.0, 2.0, 3.25)
+    assert rect != Rect(0.5, 1.0, 2.0, 3.5)
+    assert Rect(0, 0, 1, 1) == Rect(0.0, -0.0, 1.0, 1.0)
+    assert rect != (0.5, 1.0, 2.0, 3.25)
+    assert rect.__eq__((0.5, 1.0, 2.0, 3.25)) is NotImplemented
+    assert rect != _DataclassRect(0.5, 1.0, 2.0, 3.25)
+    assert hash(rect) == hash((0.5, 1.0, 2.0, 3.25))
+    assert len({rect, Rect(0.5, 1.0, 2.0, 3.25), Rect(0.0, 0.0, 0.0, 0.0)}) == 2
+    assert repr(rect) == "Rect(x_min=0.5, y_min=1.0, x_max=2.0, y_max=3.25)"
+    assert repr(Rect(0, 0, 1, 1)) == "Rect(x_min=0, y_min=0, x_max=1, y_max=1)"
+    match rect:
+        case Rect(x_min, y_min, x_max, y_max):
+            assert (x_min, y_min, x_max, y_max) == (0.5, 1.0, 2.0, 3.25)
+
+
+def test_rect_is_frozen():
+    rect = Rect(0.0, 0.0, 1.0, 1.0)
+    for name in ("x_min", "y_max"):
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(rect, name, 0.5)
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(rect, name)
+    with pytest.raises(FrozenInstanceError):
+        rect.label = "face"
+    assert rect == Rect(0.0, 0.0, 1.0, 1.0)
+    assert not hasattr(rect, "__dict__")
+
+
+def test_rect_copies_and_pickles():
+    rect = Rect(-1.5, 2.0, 3.0, 1e300)
+    copies = [copy.copy(rect), copy.deepcopy(rect), copy.deepcopy([rect, rect])[0]]
+    copies += [
+        pickle.loads(pickle.dumps(rect, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in copies:
+        assert type(clone) is Rect
+        assert clone == rect
+        assert repr(clone) == repr(rect)
+        with pytest.raises(FrozenInstanceError):
+            clone.x_min = 0.0
 
 
 def test_iou_rect_known_values():
@@ -130,6 +235,40 @@ def test_ellipse_to_polygon_vertices_lie_on_the_ellipse():
         u = (dx * cos_t + dy * sin_t) / e.semi_major
         v = (dy * cos_t - dx * sin_t) / e.semi_minor
         assert u * u + v * v == pytest.approx(1.0, abs=1e-12)
+
+
+def _per_vertex_polygon(ellipse, n):
+    """``ellipse_to_polygon`` computing cos t and sin t at every vertex."""
+    cos_t = math.cos(ellipse.angle)
+    sin_t = math.sin(ellipse.angle)
+    vertices = []
+    for k in range(n):
+        t = 2.0 * math.pi * k / n
+        px = ellipse.semi_major * math.cos(t)
+        py = ellipse.semi_minor * math.sin(t)
+        vertices.append(
+            (
+                ellipse.center_x + px * cos_t - py * sin_t,
+                ellipse.center_y + px * sin_t + py * cos_t,
+            )
+        )
+    return vertices
+
+
+def test_ellipse_to_polygon_matches_per_vertex_trigonometry_bit_for_bit():
+    rng = random.Random(13)
+    for n in (8, 9, 64, 1000, 1024, 1024, 9):  # repeats read the cached unit circle
+        for _ in range(5):
+            center = rng.choice([0.0, 1e6, -3e7, 1e12, -4.5e15])
+            semi_minor = rng.uniform(0.5, 200.0)
+            angle = rng.choice([0.0, math.pi / 2, -math.pi, 100.0, rng.uniform(-7.0, 7.0)])
+            ellipse = Ellipse(
+                center + rng.uniform(-10.0, 10.0), -center + rng.uniform(-10.0, 10.0),
+                semi_minor * rng.uniform(1.0, 4.0), semi_minor, angle,
+            )
+            got = [(x.hex(), y.hex()) for x, y in ellipse_to_polygon(ellipse, n).vertices]
+            want = [(x.hex(), y.hex()) for x, y in _per_vertex_polygon(ellipse, n)]
+            assert got == want, (ellipse, n)
 
 
 def test_ellipse_to_polygon_area_converges_from_below():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from facemetrics import io
 from facemetrics.geometry import Ellipse, Rect
 from facemetrics.io import (
     AnnotationEntry,
@@ -280,6 +281,24 @@ class TestCurveSerialization:
         assert payload["points"][0] == [0.0, 0.0, "inf"]
         back = read_curve(text)
         assert back.points == curve.points
+
+    def test_only_a_failed_json_read_parses_again_for_line_numbers(self, monkeypatch):
+        tracked = []
+        line_tracking = io._json_with_list_lines
+
+        def counted(text):
+            tracked.append(text)
+            return line_tracking(text)
+
+        monkeypatch.setattr(io, "_json_with_list_lines", counted)
+        curve = _sample_curve()
+        text = write_curve(curve, format="json")
+        assert read_curve(text).points == curve.points
+        assert tracked == []
+        mangled = text.replace("fp_count", "bananas")
+        with pytest.raises(ParseError, match="bananas"):
+            read_curve(mangled)
+        assert tracked == [mangled]
 
     def test_json_keys_are_sorted(self):
         text = write_curve(_sample_curve(), format="json")

@@ -327,6 +327,16 @@ def test_proposal_recall_rejects_an_empty_iou_grid():
         proposal_recall(_single_image_dataset(), [5], [])
 
 
+def test_proposal_recall_rejects_a_repeated_budget_or_threshold():
+    ds = _single_image_dataset()
+    with pytest.raises(ValueError, match=r"^n_values must not repeat a value, got 5 more than once"):
+        proposal_recall(ds, [5, 1, 5], [0.5])
+    with pytest.raises(
+        ValueError, match=r"^iou_thresholds must not repeat a value, got 0\.5 more than once$"
+    ):
+        proposal_recall(ds, [5], [0.5, 0.7, 0.5])
+
+
 def test_proposal_recall_is_monotone():
     rng = random.Random(3)
     thresholds = [i / 20 for i in range(10, 20)]
