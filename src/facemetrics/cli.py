@@ -36,8 +36,8 @@ checked by calling that owner before any work, so its error names the
 library parameter.
 ``--threads`` is accepted for compatibility and must be at least 1;
 every subcommand runs on one thread and the value changes nothing.
-Ellipse areas use the IoU layer's fixed polygon; no flag changes its
-vertex count.
+Ellipse areas use the IoU layer's fixed 1024-vertex polygon, which no
+flag or parameter changes.
 """
 
 from __future__ import annotations

@@ -231,14 +231,12 @@ def iou_rect(a: Rect, b: Rect) -> float:
     return inter / union
 
 
-def ellipse_to_polygon(ellipse: Ellipse, n: int) -> Polygon:
-    """Inscribe an ``n``-gon in the ellipse at uniform parameter angles.
+def ellipse_to_polygon(ellipse: Ellipse) -> Polygon:
+    """Inscribe a ``_POLYGON_VERTICES``-gon (1024) in the ellipse at uniform parameter angles.
 
-    The polygon area converges to pi * semi_major * semi_minor as ``n``
-    grows; at n=1024 the relative deficit is below 1e-5.
+    The polygon's area falls short of pi * semi_major * semi_minor by a
+    relative 6.3e-6.
     """
-    if n < 8:
-        raise ValueError(f"ellipse_to_polygon requires n >= 8, got {n}")
     cos_t = math.cos(ellipse.angle)
     sin_t = math.sin(ellipse.angle)
     a = ellipse.semi_major
@@ -247,16 +245,20 @@ def ellipse_to_polygon(ellipse: Ellipse, n: int) -> Polygon:
     cy = ellipse.center_y
     vertices = []
     append = vertices.append
-    for cos_k, sin_k in _unit_circle(n):
+    for cos_k, sin_k in _unit_circle():
         px = a * cos_k
         py = b * sin_k
         append((cx + px * cos_t - py * sin_t, cy + px * sin_t + py * cos_t))
     return Polygon(tuple(vertices))
 
 
-@functools.lru_cache(maxsize=8, typed=True)
-def _unit_circle(n: int) -> tuple[tuple[float, float], ...]:
-    """``(cos t, sin t)`` at ``t = 2 pi k / n`` for k = 0 .. n - 1."""
+@functools.cache
+def _unit_circle() -> tuple[tuple[float, float], ...]:
+    """``(cos t, sin t)`` at ``t = 2 pi k / n`` for k < n = ``_POLYGON_VERTICES``.
+
+    Built on first use, so importing the package does not pay for it.
+    """
+    n = _POLYGON_VERTICES
     return tuple((math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / n for k in range(n)))
 
 
@@ -300,17 +302,15 @@ def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) ->
     return output
 
 
-def iou_ellipse_rect(
-    ellipse: Ellipse, rect: Rect, n: int = _POLYGON_VERTICES, *, polygon: Polygon | None = None
-) -> float:
+def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = None) -> float:
     """IoU between an ellipse and a rectangle via polygon clipping.
 
-    The ellipse is approximated by an inscribed ``n``-gon and clipped
-    against the rectangle; the ellipse's own area uses the exact
-    pi * a * b value.  At the default n=1024 the approximation error is
-    far below the 5e-3 level that matters for matching decisions.
+    The ellipse's :func:`ellipse_to_polygon` is clipped against the
+    rectangle; the ellipse's own area uses the exact pi * a * b value.
+    The approximation error is far below the 5e-3 level that matters
+    for matching decisions.
 
-    ``polygon``, when given, must be the ``ellipse_to_polygon(ellipse, n)``
+    ``polygon``, when given, must be the ``ellipse_to_polygon(ellipse)``
     result; callers that score one ellipse against many rects build it
     once and pass it in.
 
@@ -339,7 +339,7 @@ def iou_ellipse_rect(
     ):
         return 0.0
     if polygon is None:
-        polygon = ellipse_to_polygon(ellipse, n)
+        polygon = ellipse_to_polygon(ellipse)
     clipped = clip_polygon_to_rect(polygon.vertices, rect)
     if len(clipped) < 3:
         return 0.0

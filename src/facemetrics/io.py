@@ -364,7 +364,11 @@ def _json_with_list_lines(text: str) -> tuple[object, dict[int, int]]:
     decoder = json.JSONDecoder()
     decoder.parse_array = parse_array
     decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    return decoder.decode(text), lines
+    try:
+        return decoder.decode(text), lines
+    except RecursionError:
+        # ``line`` is that of the deepest '[' the parse opened.
+        raise ParseError("JSON nested too deeply", line) from None
 
 
 def _curve_from_json(text: str) -> Curve:

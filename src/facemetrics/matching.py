@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
-from .geometry import _POLYGON_VERTICES, _check_iou_threshold, _score_order
+from .geometry import _check_iou_threshold, _score_order
 
 __all__ = [
     "Detection",
@@ -117,20 +117,14 @@ class MatchOutcome:
         return math.fsum(p.iou for p in self.pairs)
 
 
-def region_iou(
-    detection_region: Rect, gt_region: Region, polygon_vertices: int = _POLYGON_VERTICES
-) -> float:
+def region_iou(detection_region: Rect, gt_region: Region) -> float:
     """IoU between a detection rectangle and a rect or ellipse ground truth."""
     if isinstance(gt_region, Ellipse):
-        return iou_ellipse_rect(gt_region, detection_region, polygon_vertices)
+        return iou_ellipse_rect(gt_region, detection_region)
     return iou_rect(detection_region, gt_region)
 
 
-def iou_matrix(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruth],
-    polygon_vertices: int = _POLYGON_VERTICES,
-) -> list[list[float]]:
+def iou_matrix(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> list[list[float]]:
     """Dense detection-by-ground-truth IoU matrix.
 
     Each ellipse ground truth's polygon is built once per call and shared
@@ -138,16 +132,14 @@ def iou_matrix(
     straight to :func:`iou_rect`.
     """
     polygons = [
-        ellipse_to_polygon(gt.region, polygon_vertices)
-        if dets and isinstance(gt.region, Ellipse)
-        else None
+        ellipse_to_polygon(gt.region) if dets and isinstance(gt.region, Ellipse) else None
         for gt in gts
     ]
     return [
         [
             iou_rect(det.region, gt.region)
             if polygon is None
-            else iou_ellipse_rect(gt.region, det.region, polygon_vertices, polygon=polygon)
+            else iou_ellipse_rect(gt.region, det.region, polygon=polygon)
             for gt, polygon in zip(gts, polygons)
         ]
         for det in dets

@@ -117,6 +117,9 @@ class Curve:
         for index, point in enumerate(self.points):
             if not 0.0 <= point.y <= 1.0:
                 raise CurvePointError(f"curve y values must be in [0, 1], got {point.y!r}", index)
+            # A NaN compares false both ways, so it would slip past the order checks.
+            if math.isnan(point.x) or math.isnan(point.threshold):
+                raise CurvePointError(f"curve x and threshold must not be NaN, got {point!r}", index)
             if previous is not None:
                 if point.x < previous.x:
                     raise CurvePointError("curve points must be sorted by ascending x", index)

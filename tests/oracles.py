@@ -247,7 +247,7 @@ def roc_rematch_tallies(ds: EvalDataset, matcher: str, iou_threshold: float):
             dets = [d for d in entry.detections if d.score >= threshold]
             gts = entry.ground_truths
             if matcher == "greedy":
-                matrix = iou_matrix(dets, gts, 1024)
+                matrix = iou_matrix(dets, gts)
                 order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
                 matched = reference_greedy_pairs(matrix, order, iou_threshold)
                 ious = [iou for _, _, iou in matched]

@@ -144,7 +144,7 @@ def test_matching_oracle():
         rng = random.Random(1004)
         for _ in range(500):
             dets, gts = random_match_instance(rng)
-            matrix = iou_matrix(dets, gts, 1024)
+            matrix = iou_matrix(dets, gts)
             want_pairs, want_total, scaled = exhaustive_best_assignment(matrix, 0.5)
             outcome = match_optimal(dets, gts, iou_threshold=0.5)
             got_pairs = tuple((p.detection, p.ground_truth) for p in outcome.pairs)

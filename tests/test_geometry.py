@@ -199,7 +199,7 @@ def test_polygon_validation_and_area():
 def test_polygon_stores_its_vertices_as_given():
     vertices = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     assert Polygon(vertices).vertices is vertices
-    polygon = ellipse_to_polygon(Ellipse(3.0, -2.0, 5.0, 2.0, 0.3), 64)
+    polygon = ellipse_to_polygon(Ellipse(3.0, -2.0, 5.0, 2.0, 0.3))
     assert all(type(x) is float and type(y) is float for x, y in polygon.vertices)
 
 
@@ -217,16 +217,10 @@ def test_ellipse_area():
     assert e.area == pytest.approx(math.pi * 8.0, rel=1e-15)
 
 
-def test_ellipse_to_polygon_rejects_small_n():
-    e = Ellipse(center_x=0, center_y=0, semi_major=2.0, semi_minor=1.0, angle=0.0)
-    with pytest.raises(ValueError):
-        ellipse_to_polygon(e, 7)
-
-
 def test_ellipse_to_polygon_vertices_lie_on_the_ellipse():
     e = Ellipse(center_x=3.0, center_y=-2.0, semi_major=5.0, semi_minor=2.0, angle=0.7)
-    polygon = ellipse_to_polygon(e, 64)
-    assert len(polygon.vertices) == 64
+    polygon = ellipse_to_polygon(e)
+    assert len(polygon.vertices) == 1024
     cos_t = math.cos(e.angle)
     sin_t = math.sin(e.angle)
     for x, y in polygon.vertices:
@@ -237,8 +231,9 @@ def test_ellipse_to_polygon_vertices_lie_on_the_ellipse():
         assert u * u + v * v == pytest.approx(1.0, abs=1e-12)
 
 
-def _per_vertex_polygon(ellipse, n):
+def _per_vertex_polygon(ellipse):
     """``ellipse_to_polygon`` computing cos t and sin t at every vertex."""
+    n = 1024
     cos_t = math.cos(ellipse.angle)
     sin_t = math.sin(ellipse.angle)
     vertices = []
@@ -257,27 +252,28 @@ def _per_vertex_polygon(ellipse, n):
 
 def test_ellipse_to_polygon_matches_per_vertex_trigonometry_bit_for_bit():
     rng = random.Random(13)
-    for n in (8, 9, 64, 1000, 1024, 1024, 9):  # repeats read the cached unit circle
-        for _ in range(5):
-            center = rng.choice([0.0, 1e6, -3e7, 1e12, -4.5e15])
-            semi_minor = rng.uniform(0.5, 200.0)
-            angle = rng.choice([0.0, math.pi / 2, -math.pi, 100.0, rng.uniform(-7.0, 7.0)])
-            ellipse = Ellipse(
-                center + rng.uniform(-10.0, 10.0), -center + rng.uniform(-10.0, 10.0),
-                semi_minor * rng.uniform(1.0, 4.0), semi_minor, angle,
-            )
-            got = [(x.hex(), y.hex()) for x, y in ellipse_to_polygon(ellipse, n).vertices]
-            want = [(x.hex(), y.hex()) for x, y in _per_vertex_polygon(ellipse, n)]
-            assert got == want, (ellipse, n)
+    for _ in range(35):  # all but the first build read the cached unit circle
+        center = rng.choice([0.0, 1e6, -3e7, 1e12, -4.5e15])
+        semi_minor = rng.uniform(0.5, 200.0)
+        angle = rng.choice([0.0, math.pi / 2, -math.pi, 100.0, rng.uniform(-7.0, 7.0)])
+        ellipse = Ellipse(
+            center + rng.uniform(-10.0, 10.0), -center + rng.uniform(-10.0, 10.0),
+            semi_minor * rng.uniform(1.0, 4.0), semi_minor, angle,
+        )
+        got = [(x.hex(), y.hex()) for x, y in ellipse_to_polygon(ellipse).vertices]
+        want = [(x.hex(), y.hex()) for x, y in _per_vertex_polygon(ellipse)]
+        assert got == want, ellipse
 
 
-def test_ellipse_to_polygon_area_converges_from_below():
-    e = Ellipse(center_x=0.0, center_y=0.0, semi_major=7.0, semi_minor=3.0, angle=1.1)
-    coarse = ellipse_to_polygon(e, 16).area
-    medium = ellipse_to_polygon(e, 128).area
-    fine = ellipse_to_polygon(e, 1024).area
-    assert coarse < medium < fine < e.area
-    assert fine == pytest.approx(e.area, rel=1e-4)
+def test_ellipse_to_polygon_area_falls_short_by_the_stated_deficit():
+    # An inscribed n-gon at uniform parameter angles covers
+    # n sin(2 pi / n) / (2 pi) of the ellipse: 1 - 6.3e-6 at n = 1024.
+    rng = random.Random(14)
+    for _ in range(200):
+        e = oracles.random_ellipse(rng)
+        ratio = ellipse_to_polygon(e).area / e.area
+        assert 1.0 - 1e-5 < ratio < 1.0, e
+        assert ratio == pytest.approx(1.0 - 6.3e-6, abs=1e-7), e
 
 
 def test_clip_polygon_fully_inside_is_unchanged():
@@ -352,11 +348,24 @@ def test_iou_ellipse_rect_half_turn_symmetry():
     assert iou_ellipse_rect(e1, box) == pytest.approx(iou_ellipse_rect(e2, box), rel=1e-9)
 
 
-def test_iou_ellipse_rect_more_vertices_refine_the_answer():
-    e = Ellipse(center_x=5.0, center_y=5.0, semi_major=5.0, semi_minor=5.0, angle=0.0)
-    box = Rect(0.0, 0.0, 10.0, 10.0)
-    errors = [abs(iou_ellipse_rect(e, box, n) - math.pi / 4.0) for n in (8, 64, 512)]
-    assert errors[0] > errors[1] > errors[2]
+def test_ellipse_iou_takes_no_vertex_count():
+    # The 1024-gon is part of the protocol: a count passed in is an error,
+    # never a second polygon beside the one a caller hands in.
+    e = Ellipse(center_x=0.0, center_y=0.0, semi_major=5.0, semi_minor=3.0, angle=0.2)
+    box = Rect(0.0, 0.0, 6.0, 6.0)
+    dets = [Detection(region=box, score=0.5, image_id="img")]
+    gts = [GroundTruth(region=e, image_id="img")]
+    for call in (
+        lambda: ellipse_to_polygon(e, 8),
+        lambda: iou_ellipse_rect(e, box, 8),
+        lambda: iou_ellipse_rect(e, box, 8, polygon=ellipse_to_polygon(e)),
+        lambda: region_iou(box, e, 8),
+        lambda: region_iou(box, box, 7),
+        lambda: iou_matrix(dets, gts, 8),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert iou_ellipse_rect(e, box, polygon=ellipse_to_polygon(e)) == iou_ellipse_rect(e, box)
 
 
 def test_bounding_rect_axis_aligned():
@@ -381,7 +390,7 @@ def test_bounding_rect_contains_the_ellipse_tightly():
         box = bounding_rect(e)
         xs = []
         ys = []
-        for x, y in ellipse_to_polygon(e, 2048).vertices:
+        for x, y in ellipse_to_polygon(e).vertices:
             xs.append(x)
             ys.append(y)
             assert box.x_min - 1e-9 <= x <= box.x_max + 1e-9
@@ -537,12 +546,13 @@ def _edge_values(edge, scale):
     return values
 
 
-def _edge_ellipses(rng, n):
-    """Angles 0, pi/2 and random; thin ellipses; circles at multiples of 2pi/n.
+def _edge_ellipses(rng):
+    """Angles 0, pi/2 and random; thin ellipses; circles at multiples of 2pi/64.
 
-    Circles rotated by a vertex angle put a polygon vertex on the
-    extreme point of the ellipse, where rounding can carry it an ulp or
-    two past ``bounding_rect``.
+    Circles rotated by a vertex angle (every multiple of 2pi/64 is one of
+    the 1024-gon's) put a polygon vertex on the extreme point of the
+    ellipse, where rounding can carry it an ulp or two past
+    ``bounding_rect``.
     """
     ellipses = []
     for _ in range(3):
@@ -552,8 +562,8 @@ def _edge_ellipses(rng, n):
             (major * rng.uniform(0.2, 1.0), 0.0),
             (major * 1e-3, math.pi / 2),
             (major * 1e-3, rng.uniform(-7.0, 7.0)),
-            (major, 2.0 * math.pi * rng.randrange(n) / n),
-            (major * (1.0 - 1e-15), -2.0 * math.pi * rng.randrange(n) / n),
+            (major, 2.0 * math.pi * rng.randrange(64) / 64),
+            (major * (1.0 - 1e-15), -2.0 * math.pi * rng.randrange(64) / 64),
         ):
             ellipses.append(Ellipse(*center, major, minor, angle))
     return ellipses
@@ -563,9 +573,9 @@ def test_iou_ellipse_rect_reject_matches_unpruned_bit_for_bit():
     rng = random.Random(31)
     cases = 0
     nonzero_outside_box = 0
-    for n in (8, 64, 1024):
-        for ellipse in _edge_ellipses(rng, n if n < 1024 else 64):
-            polygon = ellipse_to_polygon(ellipse, n)
+    for _ in range(3):
+        for ellipse in _edge_ellipses(rng):
+            polygon = ellipse_to_polygon(ellipse)
             box = bounding_rect(ellipse)
             scale = abs(ellipse.center_x) + abs(ellipse.center_y) + ellipse.semi_major
             span = ellipse.semi_major
@@ -580,9 +590,9 @@ def test_iou_ellipse_rect_reject_matches_unpruned_bit_for_bit():
             for v in _edge_values(box.y_min, scale):
                 rects.append((Rect(x0, v - span, x1, v), v < box.y_min))
             for rect, outside in rects:
-                got = iou_ellipse_rect(ellipse, rect, n)
+                got = iou_ellipse_rect(ellipse, rect)
                 want = _unpruned_iou_ellipse_rect(ellipse, rect, polygon)
-                assert got.hex() == want.hex(), (ellipse, rect, n)
+                assert got.hex() == want.hex(), (ellipse, rect)
                 cases += 1
                 nonzero_outside_box += outside and got > 0.0
     assert cases == 3 * 15 * 4 * 15
@@ -593,7 +603,7 @@ def test_iou_ellipse_rect_reject_matches_unpruned_bit_for_bit():
 
 def test_iou_matrix_polygon_reuse_matches_region_iou():
     rng = random.Random(32)
-    for n in (8, 64, 1024):
+    for _ in range(3):
         gts = []
         dets = []
         for _ in range(4):
@@ -606,8 +616,8 @@ def test_iou_matrix_polygon_reuse_matches_region_iou():
                 region = Rect(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
                 dets.append(Detection(region=region, score=0.5, image_id="img"))
         gts.append(GroundTruth(region=oracles.random_rect(rng), image_id="img"))
-        matrix = iou_matrix(dets, gts, n)
-        want = [[region_iou(d.region, g.region, n).hex() for g in gts] for d in dets]
+        matrix = iou_matrix(dets, gts)
+        want = [[region_iou(d.region, g.region).hex() for g in gts] for d in dets]
         assert [[v.hex() for v in row] for row in matrix] == want
         assert any(v > 0.0 for row in matrix for v in row)
         assert any(v == 0.0 for row in matrix for v in row)
@@ -755,7 +765,7 @@ def test_polygon_builds_and_nms_iou_calls_are_pruned(monkeypatch):
     dets = [
         Detection(region=oracles.random_rect(rng), score=0.5, image_id="img") for _ in range(12)
     ]
-    iou_matrix(dets, gts, 64)
+    iou_matrix(dets, gts)
     assert counts["ellipse_to_polygon"] <= len(gts)
 
     # Pairwise-disjoint boxes on a grid, then nested boxes whose areas grow

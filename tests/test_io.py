@@ -350,12 +350,15 @@ class TestCurveSerialization:
         lines = write_curve(_sample_curve(), format="csv").splitlines()
         assert lines[4:] == ["1,0.5,0.8", "1,1,0.7"]
         cases = [
-            (4, "1,1.6,0.8", 5, "y values"),
-            (5, "0.5,1,0.7", 6, "ascending x"),
-            (4, "1,0.5,0.95", 5, "thresholds"),
+            (4, ["1,1.6,0.8"], 5, "y values"),
+            (5, ["0.5,1,0.7"], 6, "ascending x"),
+            (4, ["1,0.5,0.95"], 5, "thresholds"),
+            (3, ["nan,0.5,1"], 4, "NaN"),
+            # A NaN threshold would hide the rise to 2 from the order check.
+            (3, ["0,0.5,nan", "1,0.6,2"], 4, "NaN"),
         ]
-        for index, row, line, reason in cases:
-            bad = lines[:index] + [row] + lines[index + 1 :]
+        for index, rows, line, reason in cases:
+            bad = lines[:index] + rows + lines[index + len(rows) :]
             with pytest.raises(ParseError, match=reason) as excinfo:
                 read_curve("\n".join(bad) + "\n")
             assert excinfo.value.line == line
@@ -377,6 +380,8 @@ class TestCurveSerialization:
             ([1.0, 0.5, 0.95], "thresholds"),
             ([1.0, 0.5], "3-element list"),
             ([1.0, "half", 0.8], "non-numeric point"),
+            ([math.nan, 0.5, 0.8], "NaN"),
+            ([1.0, 0.5, math.nan], "NaN"),
         ]
         for point, reason in cases:
             edited = dict(payload, points=payload["points"][:2] + [point] + payload["points"][3:])
@@ -396,11 +401,22 @@ class TestCurveSerialization:
             ("{" + json.dumps([payload]), "invalid JSON"),
             (json.dumps({k: v for k, v in payload.items() if k != "points"}), "missing key"),
             (json.dumps(dict(payload, points=5)), "'points' must be a list"),
+            # Deeper than the recursion limit lets the line-tracking parse go.
+            ('{"points": ' + "[" * 500 + "]" * 500 + "}", "nested too deeply"),
+            ('{"points": ' + "[" * 5000 + "]" * 5000 + "}", "nested too deeply"),
         ]
         for text, reason in cases:
             with pytest.raises(ParseError, match=reason) as excinfo:
                 read_curve(text)
             assert excinfo.value.line == 1, reason
+        # The error names the line of the deepest '[' the parse reached:
+        # with one '[' a line, the k-th opens line k.
+        with pytest.raises(ParseError, match="nested too deeply") as excinfo:
+            read_curve('{\n"points":\n' + "[" * 5000 + "]" * 5000 + "}")
+        assert excinfo.value.line == 3
+        with pytest.raises(ParseError, match="nested too deeply") as excinfo:
+            read_curve('{"points": ' + "[\n" * 5000 + "]" * 5000 + "}")
+        assert 1 < excinfo.value.line < 5000
 
     def test_read_curve_rejects_unknown_semantics(self):
         text = write_curve(_sample_curve(), format="json")

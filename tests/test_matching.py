@@ -57,10 +57,7 @@ def test_region_iou_dispatch():
     det_region = Rect(0.0, 0.0, 10.0, 10.0)
     assert region_iou(det_region, Rect(0.0, 0.0, 10.0, 5.0)) == 0.5
     circle = Ellipse(center_x=5.0, center_y=5.0, semi_major=5.0, semi_minor=5.0, angle=0.0)
-    assert region_iou(det_region, circle) == iou_ellipse_rect(circle, det_region, 1024)
-    # The polygonization knob is forwarded.
-    assert region_iou(det_region, circle, 8) == iou_ellipse_rect(circle, det_region, 8)
-    assert region_iou(det_region, circle, 8) != region_iou(det_region, circle, 1024)
+    assert region_iou(det_region, circle) == iou_ellipse_rect(circle, det_region)
 
 
 def test_iou_matrix_layout():

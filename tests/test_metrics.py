@@ -10,6 +10,7 @@ from facemetrics.matching import Detection, GroundTruth, iou_matrix
 from facemetrics.metrics import (
     Curve,
     CurvePoint,
+    CurvePointError,
     EvalDataset,
     ImageEntries,
     XSemantics,
@@ -142,6 +143,11 @@ def test_curve_validation():
     # Thresholds may not rise across an x increase on an ROC axis.
     with pytest.raises(ValueError):
         Curve(points=(CurvePoint(0.0, 0.5, 0.5), CurvePoint(1.0, 0.5, 0.9)), **kwargs)
+    # NaN x or threshold values compare false both ways and would slip past those checks.
+    for bad in (CurvePoint(math.nan, 0.5, 0.5), CurvePoint(0.0, 0.5, math.nan)):
+        with pytest.raises(CurvePointError, match="NaN") as excinfo:
+            Curve(points=(CurvePoint(0.0, 0.0, math.inf), bad, CurvePoint(1.0, 0.6, 2.0)), **kwargs)
+        assert excinfo.value.index == 1
     # Recall curves index x by IoU threshold, which does rise.
     Curve(
         points=(CurvePoint(0.5, 1.0, 0.5), CurvePoint(0.9, 0.5, 0.9)),

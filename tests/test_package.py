@@ -1,5 +1,8 @@
 """The package's public surface is its modules' ``__all__`` lists, republished."""
 
+import subprocess
+import sys
+
 import facemetrics
 from facemetrics import anchors, geometry, io, matching, metrics
 
@@ -20,3 +23,15 @@ def test_each_export_is_its_module_object():
 
 def test_region_iou_is_exported_by_matching():
     assert "region_iou" in matching.__all__
+
+
+def test_import_leaves_the_unit_circle_unbuilt():
+    # The 1024-entry (cos t, sin t) table is built on the first ellipse
+    # polygon, so a run with no ellipses never pays for it.
+    code = (
+        "import facemetrics.cli, facemetrics.geometry as g; "
+        "assert g._unit_circle.cache_info().currsize == 0; "
+        "g.ellipse_to_polygon(g.Ellipse(0.0, 0.0, 2.0, 1.0, 0.0)); "
+        "assert g._unit_circle.cache_info().currsize == 1"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
