@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _half_sides(scale: float, ratio: float) -> tuple[float, float]:
+    """Half width and half height of the base anchor of one scale and ratio."""
+    root = math.sqrt(ratio)
+    return 0.5 * scale / root, 0.5 * scale * root
+
+
 @dataclass(frozen=True, slots=True)
 class AnchorSpec:
     """Anchor family: scales (pixels), height/width ratios, grid stride."""
@@ -56,6 +62,12 @@ class AnchorSpec:
             raise ValueError(f"AnchorSpec ratios must be positive, got {self.ratios}")
         if self.stride <= 0 or not math.isfinite(self.stride):
             raise ValueError(f"AnchorSpec stride must be positive, got {self.stride}")
+        for scale in self.scales:
+            for ratio in self.ratios:
+                if math.inf in _half_sides(scale, ratio):
+                    raise ValueError(
+                        f"AnchorSpec scale {scale} with ratio {ratio} gives an infinite anchor side"
+                    )
 
     @property
     def anchors_per_location(self) -> int:
@@ -110,16 +122,33 @@ def base_anchors(spec: AnchorSpec) -> list[Rect]:
     anchors = []
     for scale in spec.scales:
         for ratio in spec.ratios:
-            root = math.sqrt(ratio)
-            half_w = 0.5 * scale / root
-            half_h = 0.5 * scale * root
+            half_w, half_h = _half_sides(scale, ratio)
             anchors.append(Rect(-half_w, -half_h, half_w, half_h))
     return anchors
 
 
-def _check_grid(feature_w: int, feature_h: int) -> None:
+def _check_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> None:
+    """Reject an empty grid, or one whose farthest anchor corner overflows.
+
+    The farthest corner is summed as :func:`anchor_grid` sums it, and
+    every other coordinate of the grid is finite when it is, so exactly
+    the grids that ``anchor_grid`` cannot build are rejected.
+    """
     if feature_w < 1 or feature_h < 1:
         raise ValueError(f"anchor_grid requires a non-empty grid, got {feature_w}x{feature_h}")
+    try:
+        far_cx = ((feature_w - 1) + 0.5) * spec.stride
+        far_cy = ((feature_h - 1) + 0.5) * spec.stride
+    except OverflowError:  # a grid size past the float range
+        far_cx = far_cy = math.inf
+    bases = base_anchors(spec)
+    if (
+        max(b.x_max for b in bases) + far_cx == math.inf
+        or max(b.y_max for b in bases) + far_cy == math.inf
+    ):
+        raise ValueError(
+            f"anchor_grid overflows for a {feature_w}x{feature_h} grid at stride {spec.stride}"
+        )
 
 
 def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
@@ -129,7 +158,7 @@ def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
     is row-major: j (rows) outermost, then i, then the anchor index, for
     exactly ``feature_w * feature_h * anchors_per_location`` boxes.
     """
-    _check_grid(feature_w, feature_h)
+    _check_grid(feature_w, feature_h, spec)
     bases = [(b.x_min, b.y_min, b.x_max, b.y_max) for b in base_anchors(spec)]
     xs = [(i + 0.5) * spec.stride for i in range(feature_w)]
     ys = [(j + 0.5) * spec.stride for j in range(feature_h)]

@@ -169,8 +169,8 @@ class RunConfig:
             if not self.input_path:
                 raise ValueError("an input path is required")
         elif self.subcommand == "anchors":
-            _check_grid(self.width, self.height)
-            AnchorSpec(scales=self.scales, ratios=self.ratios, stride=self.stride)
+            spec = AnchorSpec(scales=self.scales, ratios=self.ratios, stride=self.stride)
+            _check_grid(self.width, self.height, spec)
         elif self.subcommand == "resize-plan":
             resize_scale(self.width, self.height, self.mode)
         else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # only for annotations; Detection lives in matching
@@ -68,18 +67,24 @@ def _check_rect_fields(x_min: float, y_min: float, x_max: float, y_max: float) -
         raise ValueError(f"Rect requires y_max >= y_min, got {y_min}..{y_max}")
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Rect:
     """Axis-aligned rectangle with min/max corners.
 
     An immutable value with the contract of a frozen dataclass: equality
     with other ``Rect`` objects only, the hash of the field tuple, the
     dataclass ``repr``, and :class:`dataclasses.FrozenInstanceError` on
-    assignment or deletion.  It is a plain slotted class because
-    region-proposal code builds one per anchor and per decoded box.
-    """
+    assignment or deletion.  ``dataclasses.replace``, ``fields``,
+    ``asdict`` and ``astuple`` work, and ``replace`` checks its result
+    through ``__init__``.
 
-    __slots__ = ("x_min", "y_min", "x_max", "y_max")
-    __match_args__ = __slots__
+    It is not declared ``frozen=True``: a frozen dataclass may not define
+    ``__setattr__``, and region-proposal code builds one ``Rect`` per
+    anchor and per decoded box.  The hand-written ``__init__`` makes one
+    combined check, then fills the slots through their own setters.
+    ``__setattr__`` and ``__delattr__`` keep instances immutable, which
+    makes ``unsafe_hash=True`` safe.
+    """
 
     x_min: float
     y_min: float
@@ -105,24 +110,10 @@ class Rect:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return _corners(self) == _corners(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(_corners(self))
-
-    def __repr__(self) -> str:
-        return (
-            f"Rect(x_min={self.x_min!r}, y_min={self.y_min!r}, "
-            f"x_max={self.x_max!r}, y_max={self.y_max!r})"
-        )
-
     def __reduce__(self) -> tuple:
         # Rebuild through __init__: the default slot-state restore would
         # go through the frozen __setattr__.
-        return (type(self), _corners(self))
+        return (type(self), (self.x_min, self.y_min, self.x_max, self.y_max))
 
     @property
     def width(self) -> float:
@@ -142,7 +133,6 @@ class Rect:
         return cls(x, y, x + width, y + height)
 
 
-_corners = attrgetter(*Rect.__slots__)
 # The slots' own setters, which bypass the frozen __setattr__.
 _set_x_min, _set_y_min, _set_x_max, _set_y_max = (
     getattr(Rect, name).__set__ for name in Rect.__slots__

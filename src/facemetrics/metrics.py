@@ -120,6 +120,14 @@ class Curve:
             # A NaN compares false both ways, so it would slip past the order checks.
             if math.isnan(point.x) or math.isnan(point.threshold):
                 raise CurvePointError(f"curve x and threshold must not be NaN, got {point!r}", index)
+            if self.x_semantics == XSemantics.IOU_THRESHOLD:
+                # The rule _check_recall_grid states for the thresholds themselves.
+                if not 0.0 < point.x <= 1.0:
+                    raise CurvePointError(f"IoU-threshold x must lie in (0, 1], got {point.x!r}", index)
+            elif not 0.0 <= point.x < math.inf:
+                raise CurvePointError(
+                    f"false-positive x must be finite and non-negative, got {point.x!r}", index
+                )
             if previous is not None:
                 if point.x < previous.x:
                     raise CurvePointError("curve points must be sorted by ascending x", index)

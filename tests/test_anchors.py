@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from facemetrics.anchors import (
     DEFAULT_ANCHOR_SPEC,
     AnchorSpec,
     BoxDelta,
+    _check_grid,
     anchor_grid,
     base_anchors,
     decode,
@@ -28,6 +30,31 @@ def test_spec_validation():
         AnchorSpec(scales=(128.0,), ratios=(0.0,), stride=16.0)
     with pytest.raises(ValueError):
         AnchorSpec(scales=(128.0,), ratios=(1.0,), stride=0.0)
+
+
+def test_spec_rejects_exactly_the_pairs_with_an_infinite_anchor_side():
+    big = sys.float_info.max
+    outcomes = []
+    for scale, ratio in (
+        (big, 4.0), (big, math.nextafter(4.0, 5.0)), (big, 0.25), (big, math.nextafter(0.25, 0.0)),
+        (1e308, 1e-300), (1e308, 1e300), (1e-300, 1e-300), (128.0, 1e300),
+    ):
+        root = math.sqrt(ratio)
+        half_w = 0.5 * scale / root
+        half_h = 0.5 * scale * root
+        try:
+            Rect(-half_w, -half_h, half_w, half_h)
+        except ValueError:
+            with pytest.raises(ValueError, match="gives an infinite anchor side") as excinfo:
+                AnchorSpec(scales=(1.0, scale), ratios=(ratio,), stride=16.0)
+            assert str(excinfo.value) == (
+                f"AnchorSpec scale {scale} with ratio {ratio} gives an infinite anchor side"
+            )
+            outcomes.append(False)
+        else:
+            AnchorSpec(scales=(1.0, scale), ratios=(ratio,), stride=16.0)
+            outcomes.append(True)
+    assert True in outcomes and False in outcomes
 
 
 def test_default_spec():
@@ -90,6 +117,42 @@ def test_anchor_grid_rejects_empty():
         anchor_grid(0, 3, DEFAULT_ANCHOR_SPEC)
     with pytest.raises(ValueError):
         anchor_grid(3, 0, DEFAULT_ANCHOR_SPEC)
+
+
+def test_anchor_grid_rejects_exactly_the_grids_whose_corners_overflow():
+    # Strides a few ulps either side of where the farthest corner meets the
+    # float limit: the grid is rejected exactly when building its boxes one
+    # by one, as anchor_grid does, would overflow a corner.
+    big = sys.float_info.max
+    for scale, ratio in ((128.0, 1.0), (1e308, 1.0), (1e307, 50.0), (1e307, 0.02)):
+        base = base_anchors(AnchorSpec(scales=(scale,), ratios=(ratio,), stride=1.0))[0]
+        for cells in (2, 3):
+            for size, half_side in (((cells, 1), base.x_max), ((1, cells), base.y_max)):
+                stride = (big - half_side) / (cells - 0.5)
+                for _ in range(8):
+                    stride = math.nextafter(stride, 0.0)
+                outcomes = []
+                for _ in range(17):
+                    spec = AnchorSpec(scales=(scale,), ratios=(ratio,), stride=stride)
+                    try:
+                        expected = [
+                            Rect(b.x_min + cx, b.y_min + cy, b.x_max + cx, b.y_max + cy)
+                            for cy in ((j + 0.5) * spec.stride for j in range(size[1]))
+                            for cx in ((i + 0.5) * spec.stride for i in range(size[0]))
+                            for b in base_anchors(spec)
+                        ]
+                    except ValueError:
+                        with pytest.raises(ValueError, match="^anchor_grid overflows for a"):
+                            anchor_grid(*size, spec)
+                        outcomes.append(False)
+                    else:
+                        assert anchor_grid(*size, spec) == expected
+                        outcomes.append(True)
+                    stride = math.nextafter(stride, math.inf)
+                assert True in outcomes and False in outcomes, (scale, ratio, size)
+    # A grid size past the float range is rejected by the check that runs before any work.
+    with pytest.raises(ValueError, match="^anchor_grid overflows for a 1x1000"):
+        _check_grid(1, 10**400, DEFAULT_ANCHOR_SPEC)
 
 
 def test_encode_identity_is_zero():

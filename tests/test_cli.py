@@ -145,12 +145,19 @@ class TestRangeRulesFollowTheirOwners:
 
     def test_anchor_grid(self):
         outcomes = []
-        for width, height in itertools.product((0, 1), repeat=2):
-            owner = error_of(anchors.anchor_grid, width, height, anchors.DEFAULT_ANCHOR_SPEC)
-            config = error_of(RunConfig, subcommand="anchors", width=width, height=height)
-            assert config == owner, (width, height)
+        # At stride 1e308 the third cell's anchors overflow; the first's do not.
+        for width, height, stride in itertools.product((0, 1, 3), (0, 1, 3), (16.0, 1e308)):
+            spec = anchors.AnchorSpec(
+                anchors.DEFAULT_ANCHOR_SPEC.scales, anchors.DEFAULT_ANCHOR_SPEC.ratios, stride
+            )
+            owner = error_of(anchors.anchor_grid, width, height, spec)
+            config = error_of(
+                RunConfig, subcommand="anchors", width=width, height=height, stride=stride
+            )
+            assert config == owner, (width, height, stride)
             outcomes.append(owner)
         assert None in outcomes and any(outcomes)
+        assert any(owner and "overflows" in owner for owner in outcomes)
 
     def test_resize_plan(self):
         outcomes = []
@@ -533,6 +540,15 @@ class TestExitCodes:
                 ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",
                  "--iou-thresholds", "0.5,0.5,0.7"],
                 "iou_thresholds must not repeat a value, got 0.5 more than once",
+            ),
+            (
+                ["anchors", "--width", "3", "--height", "1", "--stride", "1e308"],
+                "anchor_grid overflows for a 3x1 grid at stride 1e+308",
+            ),
+            (
+                ["anchors", "--width", "1", "--height", "1", "--scales", "1e308",
+                 "--ratios", "1e-300"],
+                "AnchorSpec scale 1e+308 with ratio 1e-300 gives an infinite anchor side",
             ),
         ],
     )

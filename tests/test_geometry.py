@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -143,6 +144,28 @@ def test_rect_is_frozen():
         rect.label = "face"
     assert rect == Rect(0.0, 0.0, 1.0, 1.0)
     assert not hasattr(rect, "__dict__")
+
+
+def test_rect_keeps_the_dataclass_api():
+    rect = Rect(0.5, 1.0, 2.0, 3.25)
+    assert dataclasses.is_dataclass(Rect) and dataclasses.is_dataclass(rect)
+    assert [f.name for f in dataclasses.fields(rect)] == ["x_min", "y_min", "x_max", "y_max"]
+    assert dataclasses.asdict(rect) == {"x_min": 0.5, "y_min": 1.0, "x_max": 2.0, "y_max": 3.25}
+    assert dataclasses.astuple(rect) == (0.5, 1.0, 2.0, 3.25)
+    moved = dataclasses.replace(rect, x_max=4.0)
+    assert type(moved) is Rect
+    assert moved == Rect(0.5, 1.0, 4.0, 3.25)
+    assert rect.x_max == 2.0
+    # replace builds through __init__, so its result is checked, first bad field first.
+    for changes, error in (
+        ({"x_max": -5.0}, r"^Rect requires x_max >= x_min, got 0\.5\.\.-5\.0$"),
+        ({"x_max": 0.0, "y_max": 0.0}, r"^Rect requires x_max >= x_min, got 0\.5\.\.0\.0$"),
+        ({"y_max": 0.0}, r"^Rect requires y_max >= y_min, got 1\.0\.\.0\.0$"),
+        ({"x_max": -5.0, "y_max": math.nan}, r"^Rect\.y_max must be finite, got nan$"),
+        ({"y_min": math.inf, "x_max": math.nan}, r"^Rect\.y_min must be finite, got inf$"),
+    ):
+        with pytest.raises(ValueError, match=error):
+            dataclasses.replace(rect, **changes)
 
 
 def test_rect_copies_and_pickles():

@@ -254,6 +254,9 @@ def _sample_curve() -> Curve:
     )
 
 
+_IOU_HEADER = "# x=iou_threshold y=detection_rate"
+
+
 class TestCurveSerialization:
     def test_csv_round_trip(self):
         curve = _sample_curve()
@@ -356,6 +359,13 @@ class TestCurveSerialization:
             (3, ["nan,0.5,1"], 4, "NaN"),
             # A NaN threshold would hide the rise to 2 from the order check.
             (3, ["0,0.5,nan", "1,0.6,2"], 4, "NaN"),
+            # No count of false positives is infinite or negative.
+            (2, ["0,0,inf", "inf,0.5,0.9"], 4, "finite and non-negative"),
+            (2, ["-3,0,inf"], 3, "finite and non-negative"),
+            # A recall curve's x is an IoU threshold, in (0, 1].
+            (0, [_IOU_HEADER, "x,y,threshold", "-0.5,0,-0.5"], 3, "IoU-threshold x"),
+            (0, [_IOU_HEADER, "x,y,threshold", "0.5,0,0.5", "2,0.5,2"], 4, "IoU-threshold x"),
+            (0, [_IOU_HEADER, "x,y,threshold", "0.5,0,0.5", "inf,0.5,inf"], 4, "IoU-threshold x"),
         ]
         for index, rows, line, reason in cases:
             bad = lines[:index] + rows + lines[index + len(rows) :]

@@ -148,6 +148,25 @@ def test_curve_validation():
         with pytest.raises(CurvePointError, match="NaN") as excinfo:
             Curve(points=(CurvePoint(0.0, 0.0, math.inf), bad, CurvePoint(1.0, 0.6, 2.0)), **kwargs)
         assert excinfo.value.index == 1
+    # A false-positive x is a finite, non-negative count or rate.
+    for bad_x in (math.inf, -3.0):
+        for x_semantics in (XSemantics.FP_COUNT, XSemantics.FP_PER_IMAGE):
+            with pytest.raises(CurvePointError, match="finite and non-negative") as excinfo:
+                Curve(
+                    points=(CurvePoint(0.0, 0.0, math.inf), CurvePoint(bad_x, 0.5, 0.9)),
+                    x_semantics=x_semantics,
+                    y_semantics=YSemantics.TPR_DISCRETE,
+                )
+            assert excinfo.value.index == 1
+    # An IoU-threshold x lies in (0, 1], as the recall grid's thresholds do.
+    for bad_x in (-0.5, 0.0, 2.0, math.inf):
+        with pytest.raises(CurvePointError, match="IoU-threshold x") as excinfo:
+            Curve(
+                points=(CurvePoint(bad_x, 0.5, bad_x),),
+                x_semantics=XSemantics.IOU_THRESHOLD,
+                y_semantics=YSemantics.DETECTION_RATE,
+            )
+        assert excinfo.value.index == 0
     # Recall curves index x by IoU threshold, which does rise.
     Curve(
         points=(CurvePoint(0.5, 1.0, 0.5), CurvePoint(0.9, 0.5, 0.9)),
