@@ -128,11 +128,19 @@ def base_anchors(spec: AnchorSpec) -> list[Rect]:
 
 
 def _check_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> None:
-    """Reject an empty grid, or one whose farthest anchor corner overflows.
+    """Reject an empty grid, or one that :func:`anchor_grid` cannot build faithfully.
 
-    The farthest corner is summed as :func:`anchor_grid` sums it, and
-    every other coordinate of the grid is finite when it is, so exactly
-    the grids that ``anchor_grid`` cannot build are rejected.
+    Both tests use ``anchor_grid``'s own expressions, so exactly those
+    grids are rejected:
+
+    * overflow: the farthest anchor corner overflows.  Every other
+      coordinate of the grid is finite when that one is.
+    * collapse: a center ``c`` so dwarfs an anchor side that its edges
+      ``lo + c`` and ``hi + c`` round to the same float, leaving a
+      zero-area box.  Every base anchor is tested at every center,
+      O((w + h) * bases), unless every base side exceeds twice the float
+      spacing at the farthest center: base anchors are symmetric about
+      0, so then no two edges can round together.
     """
     if feature_w < 1 or feature_h < 1:
         raise ValueError(f"anchor_grid requires a non-empty grid, got {feature_w}x{feature_h}")
@@ -149,6 +157,18 @@ def _check_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> None:
         raise ValueError(
             f"anchor_grid overflows for a {feature_w}x{feature_h} grid at stride {spec.stride}"
         )
+    for side, cells, far, edges in (
+        ("width", feature_w, far_cx, [(b.x_min, b.x_max) for b in bases]),
+        ("height", feature_h, far_cy, [(b.y_min, b.y_max) for b in bases]),
+    ):
+        if min(hi - lo for lo, hi in edges) > 2.0 * math.ulp(far):
+            continue
+        centers = [(i + 0.5) * spec.stride for i in range(cells)]
+        if any(lo + c == hi + c for lo, hi in edges if lo < hi for c in centers):
+            raise ValueError(
+                f"anchor_grid collapses anchors to zero {side} for a {feature_w}x{feature_h} "
+                f"grid at stride {spec.stride}"
+            )
 
 
 def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles rather
 than by calling back into the code under test: Monte Carlo estimators
-for areas and IoU, an exhaustive assignment search, a vectorized NMS,
-and a re-matching ROC tally that recomputes every operating point from
-scratch instead of sweeping incrementally.
+for areas and IoU, the vertex-by-vertex Sutherland-Hodgman clip, an
+exhaustive assignment search, a vectorized NMS, and a re-matching ROC
+tally that recomputes every operating point from scratch instead of
+sweeping incrementally.
 """
 
 import math
@@ -109,6 +110,46 @@ def mc_iou_ellipse_rect(e: Ellipse, r: Rect, samples: np.ndarray, work=None) -> 
     u += v
     np.less_equal(u, 1.0, out=in_e)
     return _overlap_ratio(in_e, in_r, tmp)
+
+
+# --------------------------------------------------------------------
+# Vertex-by-vertex polygon clipping
+# --------------------------------------------------------------------
+
+def reference_clip_polygon_to_rect(vertices, rect: Rect):
+    """Sutherland-Hodgman clip of a polygon against a rect, one vertex at a time.
+
+    Each pass keeps the half-plane on the inner side of one rect edge and
+    adds a crossing wherever an edge changes sides.  The library's
+    run-length clip must return exactly this list, in this order.
+    """
+    passes = (
+        (0, rect.x_min, 1.0),   # x >= x_min
+        (0, rect.x_max, -1.0),  # x <= x_max
+        (1, rect.y_min, 1.0),   # y >= y_min
+        (1, rect.y_max, -1.0),  # y <= y_max
+    )
+    output = list(vertices)
+    for axis, bound, sign in passes:
+        if not output:
+            return []
+        polygon = output
+        output = []
+        prev = polygon[-1]
+        prev_inside = sign * (prev[axis] - bound) >= 0
+        for current in polygon:
+            cur_inside = sign * (current[axis] - bound) >= 0
+            if cur_inside != prev_inside:
+                t = (bound - prev[axis]) / (current[axis] - prev[axis])
+                output.append((
+                    prev[0] + t * (current[0] - prev[0]),
+                    prev[1] + t * (current[1] - prev[1]),
+                ))
+            if cur_inside:
+                output.append(current)
+            prev = current
+            prev_inside = cur_inside
+    return output
 
 
 # --------------------------------------------------------------------

@@ -146,13 +146,56 @@ def test_anchor_grid_rejects_exactly_the_grids_whose_corners_overflow():
                             anchor_grid(*size, spec)
                         outcomes.append(False)
                     else:
-                        assert anchor_grid(*size, spec) == expected
+                        if any(box.width == 0.0 or box.height == 0.0 for box in expected):
+                            # At centers near 1e308 a 128-pixel side rounds away.
+                            with pytest.raises(ValueError, match="^anchor_grid collapses anchors"):
+                                anchor_grid(*size, spec)
+                        else:
+                            assert anchor_grid(*size, spec) == expected
                         outcomes.append(True)
                     stride = math.nextafter(stride, math.inf)
                 assert True in outcomes and False in outcomes, (scale, ratio, size)
     # A grid size past the float range is rejected by the check that runs before any work.
     with pytest.raises(ValueError, match="^anchor_grid overflows for a 1x1000"):
         _check_grid(1, 10**400, DEFAULT_ANCHOR_SPEC)
+
+
+def test_anchor_grid_rejects_exactly_the_grids_that_collapse_an_anchor():
+    # The farthest center c = (cells - 0.5) * stride walks ulp by ulp across
+    # a power of two P.  Below P the float spacing is less than the anchor's
+    # side, so the side survives c - half and c + half; above P it is twice
+    # that, and the side rounds away.  Along the base's shorter side, so the
+    # other side survives.  The grid is rejected exactly when building its
+    # boxes one by one, as anchor_grid does, leaves a zero-width or
+    # zero-height box.
+    for scale, ratio in ((100.0, 1.0), (3.0, 4.0), (3.0, 0.25), (1e-300, 1.0), (1e250, 0.5)):
+        base = base_anchors(AnchorSpec(scales=(scale,), ratios=(ratio,), stride=1.0))[0]
+        short = min(base.x_max, base.y_max)
+        for cells in (1, 2, 3):
+            walks = [((cells, 1), base.x_max), ((1, cells), base.y_max)]
+            for size, half_side in [(size, half) for size, half in walks if half == short]:
+                power = 2.0 ** (math.floor(math.log2(half_side)) + 54)
+                stride = power / (cells - 0.5)
+                for _ in range(8):
+                    stride = math.nextafter(stride, 0.0)
+                outcomes = []
+                for _ in range(17):
+                    spec = AnchorSpec(scales=(scale,), ratios=(ratio,), stride=stride)
+                    expected = [
+                        Rect(b.x_min + cx, b.y_min + cy, b.x_max + cx, b.y_max + cy)
+                        for cy in ((j + 0.5) * spec.stride for j in range(size[1]))
+                        for cx in ((i + 0.5) * spec.stride for i in range(size[0]))
+                        for b in base_anchors(spec)
+                    ]
+                    if any(box.width == 0.0 or box.height == 0.0 for box in expected):
+                        with pytest.raises(ValueError, match="^anchor_grid collapses anchors"):
+                            anchor_grid(*size, spec)
+                        outcomes.append(False)
+                    else:
+                        assert anchor_grid(*size, spec) == expected
+                        outcomes.append(True)
+                    stride = math.nextafter(stride, math.inf)
+                assert True in outcomes and False in outcomes, (scale, ratio, size)
 
 
 def test_encode_identity_is_zero():

@@ -145,7 +145,8 @@ class TestRangeRulesFollowTheirOwners:
 
     def test_anchor_grid(self):
         outcomes = []
-        # At stride 1e308 the third cell's anchors overflow; the first's do not.
+        # At stride 1e308 the third cell's anchors overflow, and the first's
+        # collapse to zero width: every such grid is rejected.
         for width, height, stride in itertools.product((0, 1, 3), (0, 1, 3), (16.0, 1e308)):
             spec = anchors.AnchorSpec(
                 anchors.DEFAULT_ANCHOR_SPEC.scales, anchors.DEFAULT_ANCHOR_SPEC.ratios, stride
@@ -158,6 +159,7 @@ class TestRangeRulesFollowTheirOwners:
             outcomes.append(owner)
         assert None in outcomes and any(outcomes)
         assert any(owner and "overflows" in owner for owner in outcomes)
+        assert any(owner and "collapses" in owner for owner in outcomes)
 
     def test_resize_plan(self):
         outcomes = []
@@ -549,6 +551,10 @@ class TestExitCodes:
                 ["anchors", "--width", "1", "--height", "1", "--scales", "1e308",
                  "--ratios", "1e-300"],
                 "AnchorSpec scale 1e+308 with ratio 1e-300 gives an infinite anchor side",
+            ),
+            (
+                ["anchors", "--width", "1", "--height", "1", "--stride", "1e308"],
+                "anchor_grid collapses anchors to zero width for a 1x1 grid at stride 1e+308",
             ),
         ],
     )

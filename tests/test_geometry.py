@@ -1,3 +1,4 @@
+import array
 import copy
 import dataclasses
 import itertools
@@ -541,15 +542,19 @@ def test_nms_matches_array_reference():
 # Pruned hot paths against their unpruned computations, bit for bit
 # --------------------------------------------------------------------
 
-def _unpruned_iou_ellipse_rect(ellipse, rect, polygon):
-    """``iou_ellipse_rect`` with no bounding-box reject: clip, then the same area formula."""
+def _unpruned_iou_ellipse_rect(ellipse, rect, polygon, clipped=None):
+    """``iou_ellipse_rect`` without the bounding-box reject, by the reference clip and shoelace.
+
+    ``clipped``, when given, is that clip's result.
+    """
     rect_area = area(rect)
     if rect_area <= 0:
         return 0.0
-    clipped = clip_polygon_to_rect(polygon.vertices, rect)
+    if clipped is None:
+        clipped = oracles.reference_clip_polygon_to_rect(polygon.vertices, rect)
     if len(clipped) < 3:
         return 0.0
-    inter = Polygon(tuple(clipped)).area
+    inter = abs(geometry._signed_area(clipped))
     union = ellipse.area + rect_area - inter
     if union <= 0:
         return 0.0
@@ -644,6 +649,173 @@ def test_iou_matrix_polygon_reuse_matches_region_iou():
         assert [[v.hex() for v in row] for row in matrix] == want
         assert any(v > 0.0 for row in matrix for v in row)
         assert any(v == 0.0 for row in matrix for v in row)
+
+
+def _bits(points):
+    """The bytes of every coordinate, for bit-for-bit list equality.
+
+    Equal exactly when ``float.hex`` is equal on every coordinate (NaN
+    payloads aside), at a fraction of its cost on 1,024-vertex lists.
+    """
+    return array.array("d", itertools.chain.from_iterable(points)).tobytes()
+
+
+def _check_clip(vertices, rect, ellipse=None, polygon=None):
+    """The run-length clip, and the IoU when an ellipse is given, against the references.
+
+    Returns the reference clip.
+    """
+    want = oracles.reference_clip_polygon_to_rect(vertices, rect)
+    assert _bits(clip_polygon_to_rect(vertices, rect)) == _bits(want), rect
+    if ellipse is not None:
+        got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+        want_iou = _unpruned_iou_ellipse_rect(ellipse, rect, polygon, want)
+        assert got.hex() == want_iou.hex(), (ellipse, rect)
+    return want
+
+
+def _clip_ellipses(rng):
+    """Ellipses whose polygons stress the run-length clip.
+
+    Two of each kind in ``_edge_ellipses``; circles and ellipses turned
+    by half a vertex step, so an extreme falls midway between two
+    vertices whose coordinates are equal or an ulp apart; and ellipses
+    whose center is 1e12-1e14 times their size, where rounding cuts each
+    coordinate into many monotone runs.
+    """
+    ellipses = _edge_ellipses(rng)[:10]
+    for _ in range(2):
+        k = rng.randrange(1024)
+        ellipses.append(Ellipse(rng.uniform(-50, 50), rng.uniform(-50, 50), 10.0, 10.0,
+                                2.0 * math.pi * (k + 0.5) / 1024))
+        ellipses.append(Ellipse(rng.uniform(-50, 50), rng.uniform(-50, 50), 30.0, 20.0,
+                                math.pi * rng.randrange(4) / 2 + math.pi / 1024))
+    for ratio in (1e12, 3e12, 1e13, 1e14):
+        major = rng.uniform(1.0, 10.0)
+        ellipses.append(Ellipse(ratio * major, -0.3 * ratio * major, major,
+                                major * rng.uniform(0.2, 1.0), rng.uniform(-3.0, 3.0)))
+    return ellipses
+
+
+def test_clip_matches_the_vertex_by_vertex_clip_on_ellipses_bit_for_bit():
+    rng = random.Random(61)
+    equal_neighbours = many_runs = bands = inner = 0
+    for ellipse in _clip_ellipses(rng):
+        polygon = ellipse_to_polygon(ellipse)
+        vertices = polygon.vertices
+        box = bounding_rect(ellipse)
+        scale = abs(ellipse.center_x) + abs(ellipse.center_y) + ellipse.semi_major
+        span = 2.0 * ellipse.semi_major
+        x0, y0, x1, y1 = box.x_min - span, box.y_min - span, box.x_max + span, box.y_max + span
+        runs = [len(axis.starts) - 1 for axis in geometry._build_arcs(vertices).axes]
+        many_runs += min(runs) >= 20
+        for axis in (0, 1):
+            coords = [v[axis] for v in vertices]
+            equal_neighbours += coords.count(max(coords)) > 1 or coords.count(min(coords)) > 1
+        # Rect edges on a vertex coordinate and 1-4 ulps either side: on each
+        # extreme's own axis, where a run ends, and on both axes of a random vertex.
+        extremes = [
+            (axis, vertices[pick(range(1024), key=lambda j: vertices[j][axis])])
+            for axis in (0, 1)
+            for pick in (max, min)
+        ]
+        vertex = rng.choice(vertices)
+        for axis, (vx, vy) in extremes + [(0, vertex), (1, vertex)]:
+            for v in _edge_values(vy if axis else vx, scale)[:9]:
+                if axis:
+                    _check_clip(vertices, Rect(x0, v, x1, y1), ellipse, polygon)
+                    _check_clip(vertices, Rect(x0, y0, x1, v), ellipse, polygon)
+                else:
+                    _check_clip(vertices, Rect(v, y0, x1, y1), ellipse, polygon)
+                    _check_clip(vertices, Rect(x0, y0, v, y1), ellipse, polygon)
+        # Corners on vertices: every pass cuts.
+        for _ in range(3):
+            (vx, vy), (ux, uy) = rng.sample(vertices, 2)
+            corner = Rect(min(vx, ux), min(vy, uy), max(vx, ux), max(vy, uy))
+            _check_clip(vertices, corner, ellipse, polygon)
+        # A horizontal band through the middle keeps two arcs and four crossings.
+        cy = ellipse.center_y
+        half = 0.25 * (box.y_max - box.y_min)
+        band = _check_clip(vertices, Rect(x0, cy - half, x1, cy + half), ellipse, polygon)
+        bands += sum(p not in vertices for p in band) == 4
+        # A rect well inside the polygon keeps crossings only; one around it keeps everything.
+        cx = ellipse.center_x
+        w = 0.2 * ellipse.semi_minor
+        clipped = _check_clip(vertices, Rect(cx - w, cy - w, cx + w, cy + w), ellipse, polygon)
+        inner += len(clipped) > 0 and not any(p in vertices for p in clipped)
+        assert _check_clip(vertices, Rect(x0, y0, x1, y1), ellipse, polygon) == list(vertices)
+        # Random rects, mostly overlapping the ellipse.
+        for _ in range(10):
+            rx = rng.uniform(box.x_min - 0.5 * span, box.x_max)
+            ry = rng.uniform(box.y_min - 0.5 * span, box.y_max)
+            rect = Rect(rx, ry, rx + rng.uniform(0.0, span), ry + rng.uniform(0.0, span))
+            _check_clip(vertices, rect, ellipse, polygon)
+    # Each kind of case really occurred.
+    assert equal_neighbours >= 4 and many_runs >= 2
+    assert bands >= 10 and inner >= 10
+
+
+def test_clip_matches_the_vertex_by_vertex_clip_on_concave_and_non_finite_polygons():
+    rng = random.Random(62)
+    specials = [math.inf, -math.inf, math.nan]
+    for trial in range(300):
+        # Star-shaped: monotone runs of every length, and reflex vertices.
+        n = rng.randint(3, 40)
+        angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(n))
+        radii = [rng.choice([rng.uniform(1.0, 10.0), 5.0]) for _ in range(n)]
+        vertices = [(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)]
+        if trial % 3 == 0:  # snap to a grid: ties and repeated coordinates
+            vertices = [(float(round(x)), float(round(y))) for x, y in vertices]
+        if trial % 2 == 1:
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(n)
+                x, y = vertices[i]
+                if rng.random() < 0.5:
+                    vertices[i] = (rng.choice(specials), y)
+                else:
+                    vertices[i] = (x, rng.choice(specials))
+        for _ in range(5):
+            x, y = rng.uniform(-12.0, 8.0), rng.uniform(-12.0, 8.0)
+            rect = Rect(x, y, x + rng.uniform(0.0, 12.0), y + rng.uniform(0.0, 12.0))
+            _check_clip(vertices, rect)
+            _check_clip(tuple(vertices), rect)
+    for vertices in ([(0.0, 0.0)], [(0.0, 0.0), (2.0, 2.0)], [(math.nan, 1.0)] * 3):
+        _check_clip(vertices, Rect(0.5, 0.5, 1.5, 1.5))
+
+
+def test_clip_data_is_built_once_per_ellipse_column_and_only_when_clipped(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, geometry, "_build_arcs", counts)
+    rng = random.Random(63)
+    gts = [GroundTruth(region=oracles.random_ellipse(rng), image_id="img") for _ in range(3)]
+    gts.append(GroundTruth(region=Ellipse(5000.0, 5000.0, 10.0, 5.0, 0.3), image_id="img"))
+    gts.append(GroundTruth(region=oracles.random_rect(rng), image_id="img"))
+    dets = []
+    for gt in gts[:3]:
+        box = bounding_rect(gt.region)
+        for _ in range(4):
+            dx, dy = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+            region = Rect(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
+            dets.append(Detection(region=region, score=0.5, image_id="img"))
+    # Far from every ellipse: the bounding-box reject answers before any clip.
+    far = Detection(region=Rect(1e4, 1e4, 1e4 + 5.0, 1e4 + 5.0), score=0.5, image_id="img")
+    matrix = iou_matrix(dets + [far], gts)
+    # Four clipped rects in each of the first three columns, none in the fourth.
+    assert [sum(row[j] > 0.0 for row in matrix) for j in range(4)] == [4, 4, 4, 0]
+    assert counts["_build_arcs"] == 3
+
+    counts.clear()
+    assert iou_matrix([far], gts) == [[0.0] * 5]
+    assert counts.get("_build_arcs", 0) == 0
+
+    # The cached data is not part of the polygon's value.
+    polygon = ellipse_to_polygon(gts[0].region)
+    fresh = Polygon(polygon.vertices)
+    text = repr(polygon)
+    iou_ellipse_rect(gts[0].region, dets[0].region, polygon=polygon)
+    assert polygon._arcs is not None and fresh._arcs is None
+    assert polygon == fresh and hash(polygon) == hash(fresh) and repr(polygon) == text
+    assert "_arcs" not in text
 
 
 def _ulps(value, steps):
