@@ -12,9 +12,7 @@ Conventions used throughout the package:
 * Degenerate (zero-area) regions never overlap anything: their IoU with
   any region is defined as 0.
 * All functions are pure and all region types are immutable, so callers
-  may evaluate them concurrently without locking.  (A ``Polygon`` fills
-  a private cache on its first clip; two threads that race to fill it
-  build equal values.)
+  may evaluate them concurrently without locking.
 """
 
 from __future__ import annotations
@@ -166,6 +164,19 @@ class Ellipse:
                 "Ellipse requires semi_major >= semi_minor, got "
                 f"{self.semi_major} < {self.semi_minor}"
             )
+        # Every IoU needs the area and the axis-aligned bounds as finite floats.
+        if math.isinf(self.area):
+            raise ValueError(
+                f"Ellipse semi_major {self.semi_major} with semi_minor {self.semi_minor} "
+                "gives an infinite area"
+            )
+        try:
+            # With a finite area the sum of squares cannot overflow, so a
+            # half extent that computes is at most sqrt(max float), about
+            # 1.3e154, and the center plus or minus it stays finite.
+            _half_extents(self)
+        except OverflowError:  # a squared half extent past the float range
+            raise ValueError(f"{self!r} has axis-aligned bounds past the float range") from None
 
     @property
     def area(self) -> float:
@@ -179,18 +190,19 @@ class Polygon:
     Simplicity is not re-checked; every constructor in this module emits
     non-self-intersecting tuples of float pairs by construction.
 
-    The first :func:`iou_ellipse_rect` clip of a polygon builds its clip
-    data once (the monotone runs of each coordinate and the shoelace term
-    of each edge, O(n)) and keeps it in a private slot that takes no part
-    in equality, hashing or ``repr``.  It lives as long as the polygon.
+    Construction also builds the polygon's clip data for
+    :func:`iou_ellipse_rect` (the monotone runs of each coordinate and the
+    shoelace term of each edge, O(n)) into a private slot that takes no
+    part in equality, hashing or ``repr``.
     """
 
     vertices: tuple[tuple[float, float], ...]
-    _arcs: _Arcs | None = field(default=None, init=False, compare=False, repr=False)
+    _arcs: _Arcs = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise ValueError(f"Polygon requires >= 3 vertices, got {len(self.vertices)}")
+        object.__setattr__(self, "_arcs", _build_arcs(self.vertices))
 
     @property
     def area(self) -> float:
@@ -326,15 +338,6 @@ def _build_arcs(vertices: tuple[tuple[float, float], ...]) -> _Arcs:
     # x0 * y1 - x1 * y0 for each edge (x0, y0) -> (x1, y1), as _signed_area computes it.
     terms = list(map(operator.sub, map(operator.mul, xs, next_ys), map(operator.mul, next_xs, ys)))
     return _Arcs(vertices, (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
-
-
-def _polygon_arcs(polygon: Polygon) -> _Arcs:
-    """The polygon's clip data, built on first use and kept in the polygon."""
-    arcs = polygon._arcs
-    if arcs is None:
-        arcs = _build_arcs(polygon.vertices)
-        object.__setattr__(polygon, "_arcs", arcs)
-    return arcs
 
 
 def _crossing(
@@ -492,16 +495,15 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
 
     ``polygon``, when given, must be the ``ellipse_to_polygon(ellipse)``
     result; callers that score one ellipse against many rects build it
-    once and pass it in.  Its first clip builds the polygon's monotone
-    runs and its n shoelace edge terms, O(n), kept in the polygon.  Each
-    clip then costs O(runs + log n) per rect edge (see
-    :func:`clip_polygon_to_rect`), and the area one add per kept polygon
-    edge plus the few terms that touch a crossing.  Those are added one
-    by one in the vertex-by-vertex shoelace's order, with
-    ``functools.reduce``, never ``sum()``: ``sum`` is compensated from
-    Python 3.12 on, and any other order changes the last bits.  So the
-    IoU is bit-identical to clipping vertex by vertex and summing the
-    shoelace of the clipped list.
+    once and pass it in.  The polygon holds its monotone runs and its n
+    shoelace edge terms, built with it in O(n).  Each clip costs
+    O(runs + log n) per rect edge (see :func:`clip_polygon_to_rect`),
+    and the area one add per kept polygon edge plus the few terms that
+    touch a crossing.  Those are added one by one in the vertex-by-vertex
+    shoelace's order, with ``functools.reduce``, never ``sum()``: ``sum``
+    is compensated from Python 3.12 on, and any other order changes the
+    last bits.  So the IoU is bit-identical to clipping vertex by vertex
+    and summing the shoelace of the clipped list.
 
     A rect disjoint from the ellipse's ``bounding_rect`` widened by a
     margin of ``1e-9 * (|center_x| + |center_y| + semi_major) + 1e-300``
@@ -529,7 +531,7 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
         return 0.0
     if polygon is None:
         polygon = ellipse_to_polygon(ellipse)
-    arcs = _polygon_arcs(polygon)
+    arcs = polygon._arcs
     pieces = _clip(arcs, rect)
     if sum(len(p) if type(p) is range else 1 for p in pieces) < 3:
         return 0.0

@@ -9,9 +9,11 @@ prefix.  The optimal matcher is re-solved at an own score only when a
 detection newly kept there has a pair above the matching IoU threshold:
 the kept set does not change between own scores, and a row without such
 a pair cannot change the optimum.  Each image emits one event per own
-distinct score (the change in its TP count, FP count and IoU total), and
-the events are summed by score and accumulated down the global threshold
-list.  Work and memory grow with the detections, not with images times
+distinct score (the change in its TP count, FP count and IoU total).
+The events are summed by score, and those sums, keyed by every distinct
+score in the dataset, are accumulated in descending score order after
+the empty point at +infinity; no second scan collects the thresholds.
+Work and memory grow with the detections, not with images times
 distinct scores.
 
 True positives are matched detections; everything else kept at the
@@ -208,12 +210,6 @@ def _check_recall_grid(n_values: Sequence[int], iou_thresholds: Sequence[float])
             seen.add(value)
 
 
-def _score_thresholds(ds: EvalDataset) -> list[float]:
-    """Distinct scores, descending, preceded by +inf (the empty operating point)."""
-    scores = {d.score for entry in ds.images.values() for d in entry.detections}
-    return [math.inf] + sorted(scores, reverse=True)
-
-
 def _image_events(
     entry: ImageEntries,
     matcher: str,
@@ -222,7 +218,8 @@ def _image_events(
     """One image's (score, TP change, FP change, IoU-sum change) per own distinct score.
 
     The IoU-sum change is that of the image's rounded ``fsum`` total, in
-    exact units (see :func:`~facemetrics.matching._exact`).
+    exact units (see :func:`~facemetrics.matching._exact`).  Each event
+    carries the score of the lowest-index detection of its tie group.
     """
     dets, gts = entry
     if not dets:
@@ -243,12 +240,14 @@ def _image_events(
     # they were (the other rows keep their order), so the optimal matcher
     # is re-solved only after a row with one.
     stale = False
+    score = None
     for kept_count, i in enumerate(by_score, start=1):
         if i in matched:
             ious.append(matched[i])
         elif matcher == "optimal" and not stale:
             stale = any(iou > iou_threshold for iou in matrix[i])
-        score = dets[i].score
+        if dets[i].score != score:  # i opens a tie group
+            score = dets[i].score
         if kept_count < len(dets) and dets[by_score[kept_count]].score == score:
             continue
         if stale:
@@ -263,35 +262,6 @@ def _image_events(
     return events
 
 
-def _sweep_totals(
-    ds: EvalDataset,
-    matcher: str,
-    iou_threshold: float,
-) -> list[tuple[float, int, int, float]]:
-    """(threshold, TP, FP, IoU sum) at +inf and at every distinct score, descending.
-
-    The IoU sum is the correctly rounded total of the images' ``fsum``
-    totals, rounded once from exact units.
-    """
-    changes: dict[float, list[int]] = {}
-    for entry in ds.images.values():
-        for score, tp, fp, iou_sum in _image_events(entry, matcher, iou_threshold):
-            change = changes.setdefault(score, [0, 0, 0])
-            change[0] += tp
-            change[1] += fp
-            change[2] += iou_sum
-    totals = []
-    tp = fp = iou_sum = 0
-    for threshold in _score_thresholds(ds):
-        change = changes.get(threshold)
-        if change is not None:
-            tp += change[0]
-            fp += change[1]
-            iou_sum += change[2]
-        totals.append((threshold, tp, fp, iou_sum / _EXACT_DENOMINATOR))
-    return totals
-
-
 def _roc_curve(
     ds: EvalDataset,
     matcher: str,
@@ -302,11 +272,29 @@ def _roc_curve(
     _check_dataset(ds)
     _check_matcher(matcher)
     _check_iou_threshold(iou_threshold)
+    # Every image emits an event at each of its distinct scores, so the
+    # summed changes are keyed by exactly the dataset's distinct scores.
+    # A key keeps the score it was first given: of equal scores such as
+    # 0.0 and -0.0, the first in image and detection order names the
+    # threshold.
+    changes: dict[float, list[int]] = {}
+    for entry in ds.images.values():
+        for score, tp, fp, iou_sum in _image_events(entry, matcher, iou_threshold):
+            change = changes.setdefault(score, [0, 0, 0])
+            change[0] += tp
+            change[1] += fp
+            change[2] += iou_sum
     n_images = len(ds.images)
-    points = []
-    for threshold, tp, fp, iou_sum in _sweep_totals(ds, matcher, iou_threshold):
+    points = [CurvePoint(x=0.0, y=0.0, threshold=math.inf)]  # nothing kept
+    tp = fp = iou_sum = 0
+    for threshold in sorted(changes, reverse=True):
+        change = changes[threshold]
+        tp += change[0]
+        fp += change[1]
+        iou_sum += change[2]
         if y_semantics is YSemantics.TPR_CONTINUOUS:
-            y = iou_sum / ds.total_gt_count
+            # The correctly rounded total of the images' fsum totals.
+            y = iou_sum / _EXACT_DENOMINATOR / ds.total_gt_count
         else:
             y = tp / ds.total_gt_count
         x = float(fp)

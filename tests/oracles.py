@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from facemetrics.geometry import Ellipse, Rect
-from facemetrics.matching import Detection, GroundTruth, iou_matrix, match_optimal
+from facemetrics.matching import Detection, GroundTruth, iou_matrix
 from facemetrics.metrics import EvalDataset
 
 
@@ -271,9 +271,12 @@ def roc_rematch_tallies(ds: EvalDataset, matcher: str, iou_threshold: float):
     """(thresholds, [(tp, fp, iou_total)]) recomputed from scratch per cut.
 
     No incremental sweeping: at every score cutoff the surviving
-    detections of every image are re-matched in full.  IoU totals use
-    one fsum per image and one across images, mirroring how any correct
-    aggregation would group them.
+    detections of every image are re-matched in full, greedily by
+    :func:`reference_greedy_pairs` or optimally by
+    :func:`exhaustive_best_assignment`.  Only the IoU matrix comes from
+    the library (``iou_matrix``, which the Monte Carlo estimators above
+    check).  IoU totals use one fsum per image and one across images,
+    mirroring how any correct aggregation would group them.
     """
     scores = sorted(
         {d.score for entry in ds.images.values() for d in entry.detections}, reverse=True
@@ -286,15 +289,14 @@ def roc_rematch_tallies(ds: EvalDataset, matcher: str, iou_threshold: float):
         per_image_sums = []
         for entry in ds.images.values():
             dets = [d for d in entry.detections if d.score >= threshold]
-            gts = entry.ground_truths
+            matrix = iou_matrix(dets, entry.ground_truths)
             if matcher == "greedy":
-                matrix = iou_matrix(dets, gts)
                 order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
                 matched = reference_greedy_pairs(matrix, order, iou_threshold)
                 ious = [iou for _, _, iou in matched]
             else:
-                outcome = match_optimal(list(dets), list(gts), iou_threshold=iou_threshold)
-                ious = [pair.iou for pair in outcome.pairs]
+                pairs, _, _ = exhaustive_best_assignment(matrix, iou_threshold)
+                ious = [matrix[i][j] for i, j in pairs]
             tp += len(ious)
             fp += len(dets) - len(ious)
             per_image_sums.append(math.fsum(ious))

@@ -258,6 +258,20 @@ class TestEval:
         assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH, "--out", str(out)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
+    @pytest.mark.parametrize("mode", ["discrete", "continuous", "normalized"])
+    @pytest.mark.parametrize("scores, threshold", [("0.0 -0.0", "0"), ("-0.0 0.0", "-0")])
+    def test_a_signed_zero_tie_prints_its_first_score(
+        self, mode, scores, threshold, tmp_path, capsys
+    ):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("img\n1\n0 0 10 10\n")
+        det = tmp_path / "det.txt"
+        first, second = scores.split()
+        det.write_text(f"img\n2\n0 0 10 10 {first}\n20 20 10 10 {second}\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det), "--mode", mode]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.rpartition(",")[2] for row in rows] == ["inf", threshold]
+
 
 class TestProposalRecall:
     def test_default_budgets_emit_four_files(self, tmp_path):
@@ -470,6 +484,31 @@ class TestExitCodes:
             "facemetrics: error: line 3: invalid rectangle: "
             f"region score must be finite, got {float(score)!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "ellipse, error",
+        [
+            (
+                "1e200 1e200 0 0 0 1",
+                "Ellipse semi_major 1e+200 with semi_minor 1e+200 gives an infinite area",
+            ),
+            (
+                "1e160 1 0 0 0 1",
+                "Ellipse(center_x=0.0, center_y=0.0, semi_major=1e+160, semi_minor=1.0, angle=0.0) "
+                "has axis-aligned bounds past the float range",
+            ),
+        ],
+        ids=["area", "bounds"],
+    )
+    def test_ellipse_past_the_float_range_names_its_line(self, ellipse, error, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text(f"img\n1\n{ellipse}\n")
+        det = tmp_path / "det.txt"
+        det.write_text("img\n1\n0 0 10 10 0.9\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"facemetrics: error: line 3: invalid ellipse: {error}\n"
 
     def test_failed_write_names_the_given_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import sys
+import types
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -234,6 +235,35 @@ def test_ellipse_validation():
         Ellipse(center_x=0, center_y=0, semi_major=1.0, semi_minor=2.0, angle=0.0)
     with pytest.raises(ValueError):
         Ellipse(center_x=math.nan, center_y=0, semi_major=2.0, semi_minor=1.0, angle=0.0)
+
+
+def test_ellipse_rejects_exactly_an_area_or_bounds_past_the_float_range():
+    # Walk the semi-axes ulp by ulp across the two limits: where a squared
+    # half extent in bounding_rect overflows, and where pi * a * b does.
+    limits = (math.sqrt(sys.float_info.max), math.sqrt(sys.float_info.max / math.pi))
+    big = sys.float_info.max
+    outcomes = set()
+    for a in (_ulps(limit, steps) for limit in limits for steps in range(-3, 4)):
+        for center, b, angle in itertools.product(
+            ((0.0, 0.0), (big, -big)), (1.0, a), (0.0, 0.5 * math.pi, 0.3)
+        ):
+            fields = dict(center_x=center[0], center_y=center[1], semi_major=a, semi_minor=b,
+                          angle=angle)
+            try:
+                bounding_rect(types.SimpleNamespace(**fields))
+                error = None
+            except (OverflowError, ValueError):
+                error = r"^Ellipse\(.*\) has axis-aligned bounds past the float range$"
+            if math.isinf(math.pi * a * b):  # checked first
+                error = r"^Ellipse semi_major \S+ with semi_minor \S+ gives an infinite area$"
+            if error is None:
+                ellipse = Ellipse(**fields)
+                assert 0.0 <= iou_ellipse_rect(ellipse, Rect(-1.0, -1.0, 1.0, 1.0)) <= 1.0
+            else:
+                with pytest.raises(ValueError, match=error):
+                    Ellipse(**fields)
+            outcomes.add(error)
+    assert len(outcomes) == 3
 
 
 def test_ellipse_area():
@@ -783,7 +813,7 @@ def test_clip_matches_the_vertex_by_vertex_clip_on_concave_and_non_finite_polygo
         _check_clip(vertices, Rect(0.5, 0.5, 1.5, 1.5))
 
 
-def test_clip_data_is_built_once_per_ellipse_column_and_only_when_clipped(monkeypatch):
+def test_clip_data_is_built_once_per_ellipse_column(monkeypatch):
     counts = {}
     _count_calls(monkeypatch, geometry, "_build_arcs", counts)
     rng = random.Random(63)
@@ -802,20 +832,25 @@ def test_clip_data_is_built_once_per_ellipse_column_and_only_when_clipped(monkey
     matrix = iou_matrix(dets + [far], gts)
     # Four clipped rects in each of the first three columns, none in the fourth.
     assert [sum(row[j] > 0.0 for row in matrix) for j in range(4)] == [4, 4, 4, 0]
-    assert counts["_build_arcs"] == 3
+    # Each ellipse column's polygon builds its clip data with itself, clipped or not.
+    assert counts["_build_arcs"] == 4
 
     counts.clear()
     assert iou_matrix([far], gts) == [[0.0] * 5]
-    assert counts.get("_build_arcs", 0) == 0
+    assert counts["_build_arcs"] == 4
 
-    # The cached data is not part of the polygon's value.
+    # The clip data is not part of the polygon's value, and nothing replaces it.
     polygon = ellipse_to_polygon(gts[0].region)
     fresh = Polygon(polygon.vertices)
     text = repr(polygon)
     iou_ellipse_rect(gts[0].region, dets[0].region, polygon=polygon)
-    assert polygon._arcs is not None and fresh._arcs is None
+    assert polygon._arcs == fresh._arcs and polygon._arcs is not fresh._arcs
     assert polygon == fresh and hash(polygon) == hash(fresh) and repr(polygon) == text
     assert "_arcs" not in text
+    with pytest.raises(FrozenInstanceError):
+        polygon._arcs = None
+    with pytest.raises(TypeError):
+        Polygon(polygon.vertices, _arcs=None)
 
 
 def _ulps(value, steps):

@@ -201,6 +201,62 @@ def test_match_outcome_rejects_reused_ground_truths():
         )
 
 
+def test_match_outcome_names_each_broken_invariant():
+    cases = [
+        ([(0, 0, 0.9), (0, 1, 0.8)], [], [], "a detection index appears in more than one pair"),
+        ([(0, 0, 0.9), (1, 0, 0.8)], [], [], "a ground-truth index appears in more than one pair"),
+        ([(0, 0, 0.9)], [0], [], "a detection index is both paired and unmatched"),
+        ([(0, 0, 0.9)], [], [0], "a ground-truth index is both paired and unmatched"),
+        ([(0, 0, -0.25)], [], [], "pair IoU out of range: -0.25"),
+        ([(0, 0, math.nan)], [], [], "pair IoU out of range: nan"),
+    ]
+    for pairs, dets, gts, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            MatchOutcome(tuple(MatchPair(*p) for p in pairs), frozenset(dets), frozenset(gts))
+        assert str(excinfo.value) == message
+    # total_iou is the correctly rounded sum, where a plain sum gives 0.9999999999999999.
+    tenths = MatchOutcome(
+        tuple(MatchPair(i, i, 0.1) for i in range(10)), frozenset({10}), frozenset()
+    )
+    assert tenths.total_iou == 1.0
+    assert MatchOutcome((), frozenset({0}), frozenset({0})).total_iou == 0.0
+
+
+def test_detections_and_ground_truths_name_what_is_wrong():
+    ellipse = Ellipse(center_x=0, center_y=0, semi_major=2, semi_minor=1, angle=0)
+    cases = [
+        (lambda: Detection(region=(0, 0, 1, 1), score=0.5, image_id="img"), TypeError,
+         "Detection region must be a Rect, got tuple"),
+        (lambda: Detection(region=ellipse, score=0.5, image_id="img"), TypeError,
+         "Detection region must be a Rect, got Ellipse"),
+        (lambda: _det(0, 0, 1, 1, math.nan), ValueError, "Detection score must be finite, got nan"),
+        (lambda: _det(0, 0, 1, 1, -math.inf), ValueError,
+         "Detection score must be finite, got -inf"),
+        (lambda: GroundTruth(region="box", image_id="img"), TypeError,
+         "GroundTruth region must be a Rect or Ellipse, got str"),
+        (lambda: GroundTruth(region=None, image_id="img"), TypeError,
+         "GroundTruth region must be a Rect or Ellipse, got NoneType"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+
+def test_matchers_name_the_image_ids_they_were_given():
+    for match in (match_greedy, match_optimal):
+        for dets, gts in (
+            ([_det(0, 0, 1, 1, 0.5, "b")], [_gt(0, 0, 1, 1, "a")]),
+            ([_det(0, 0, 1, 1, 0.5, "b"), _det(0, 0, 1, 1, 0.5, "a")], []),
+            ([], [_gt(0, 0, 1, 1, "a"), _gt(0, 0, 1, 1, "b")]),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                match(dets, gts, 0.5)
+            assert str(excinfo.value) == (
+                "matching requires a single image, got image_ids ['a', 'b']"
+            )
+
+
 def test_greedy_assignment_priority_order_matters():
     matrix = [[0.9, 0.8], [0.85, 0.0]]
     # Row 0 first: it takes column 0 and row 1 is left with nothing.

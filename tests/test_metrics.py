@@ -51,6 +51,18 @@ def test_dataset_rejects_misfiled_entries():
         EvalDataset.from_images({"a": ([], [_gt(0, 0, 1, 1, "b")])})
 
 
+def test_dataset_names_a_misfiled_image_id():
+    for images, message in (
+        ({"a": ([_det(0, 0, 1, 1, 0.5, "a"), _det(0, 0, 1, 1, 0.5, "b")], [])},
+         "detection for image 'b' filed under 'a'"),
+        ({"a": ([], [_gt(0, 0, 1, 1, "a")]), "b": ([], [_gt(0, 0, 1, 1, "a")])},
+         "ground truth for image 'a' filed under 'b'"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            EvalDataset.from_images(images)
+        assert str(excinfo.value) == message
+
+
 def test_dataset_counts_its_ground_truths():
     gts = (_gt(0, 0, 1, 1, "a"), _gt(2, 2, 3, 3, "a"))
     images = {"a": ImageEntries((), gts), "b": ImageEntries((), ())}
@@ -67,6 +79,25 @@ def test_roc_requires_images_and_ground_truths():
         discrete_roc(empty_gts)
     with pytest.raises(ValueError):
         discrete_roc(_single_image_dataset(), "perfect")
+
+
+def test_every_curve_names_a_dataset_without_images_or_ground_truths():
+    builders = (
+        discrete_roc,
+        continuous_roc,
+        normalized_fp_roc,
+        lambda ds: proposal_recall(ds, [1], [0.5]),
+    )
+    no_gts = "dataset has no ground truths; curves would be undefined"
+    for ds, message in (
+        (EvalDataset(images={}), "dataset has no images"),
+        (EvalDataset.from_images({"img": ([], [])}), no_gts),
+        (EvalDataset.from_images({"img": ([_det(0, 0, 1, 1, 0.5)], [])}), no_gts),
+    ):
+        for build in builders:
+            with pytest.raises(ValueError) as excinfo:
+                build(ds)
+            assert str(excinfo.value) == message
 
 
 def test_discrete_roc_worked_example():
@@ -347,6 +378,12 @@ def test_proposal_recall_validation():
         proposal_recall(ds, [5], [1.1])
 
 
+def test_proposal_recall_rejects_an_empty_budget_list():
+    for n_values in ([], ()):
+        with pytest.raises(ValueError, match=r"^n_values must not be empty$"):
+            proposal_recall(_single_image_dataset(), n_values, [0.5])
+
+
 def test_proposal_recall_rejects_an_empty_iou_grid():
     with pytest.raises(ValueError, match="iou_thresholds must not be empty"):
         proposal_recall(_single_image_dataset(), [5], [])
@@ -402,3 +439,10 @@ def test_curve_query_rejects_empty():
     )
     with pytest.raises(ValueError):
         curve_query(empty, 1.0)
+
+
+def test_curve_query_names_an_empty_curve():
+    for x_semantics in XSemantics:
+        empty = Curve(points=(), x_semantics=x_semantics, y_semantics=YSemantics.TPR_DISCRETE)
+        with pytest.raises(ValueError, match=r"^cannot query an empty curve$"):
+            curve_query(empty, 0.5)
