@@ -164,7 +164,8 @@ class Ellipse:
                 "Ellipse requires semi_major >= semi_minor, got "
                 f"{self.semi_major} < {self.semi_minor}"
             )
-        # Every IoU needs the area and the axis-aligned bounds as finite floats.
+        # Every IoU needs a finite area.  Finite bounds keep bounding_rect a
+        # valid Rect, and with them every polygon vertex is finite.
         if math.isinf(self.area):
             raise ValueError(
                 f"Ellipse semi_major {self.semi_major} with semi_minor {self.semi_minor} "
@@ -185,8 +186,10 @@ class Ellipse:
 
 @dataclass(frozen=True, slots=True)
 class Polygon:
-    """Simple polygon with counter-clockwise vertices, stored as given (no copy).
+    """Simple polygon with counter-clockwise vertices, stored as a tuple.
 
+    A tuple is kept as given (no copy); any other sequence is copied into
+    one, so the caller's list can change without the polygon changing.
     Simplicity is not re-checked; every constructor in this module emits
     non-self-intersecting tuples of float pairs by construction.
 
@@ -200,24 +203,16 @@ class Polygon:
     _arcs: _Arcs = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError(f"Polygon requires >= 3 vertices, got {len(self.vertices)}")
-        object.__setattr__(self, "_arcs", _build_arcs(self.vertices))
+        vertices = tuple(self.vertices)
+        if len(vertices) < 3:
+            raise ValueError(f"Polygon requires >= 3 vertices, got {len(vertices)}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_arcs", _build_arcs(vertices))
 
     @property
     def area(self) -> float:
-        return abs(_signed_area(self.vertices))
-
-
-def _signed_area(vertices: Sequence[tuple[float, float]]) -> float:
-    """Shoelace formula; positive for counter-clockwise vertex order."""
-    total = 0.0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return 0.5 * total
+        """The shoelace area: the cached edge terms added one by one in vertex order."""
+        return abs(0.5 * functools.reduce(operator.add, self._arcs.terms, 0.0))
 
 
 def area(rect: Rect) -> float:
@@ -292,9 +287,11 @@ class _Axis(NamedTuple):
 class _Arcs(NamedTuple):
     """A polygon's clip data: its vertices, both axes' runs and its shoelace edge terms.
 
-    ``terms[i]`` is ``_signed_area``'s term of the edge from vertex ``i``
-    to vertex ``i + 1`` (cyclically), the same float wherever that edge
-    appears in a clipped polygon.
+    ``terms[i]`` is the shoelace term ``x0 * y1 - x1 * y0`` of the edge
+    from vertex ``i`` to vertex ``i + 1`` (cyclically), the same float
+    wherever that edge appears in a clipped polygon.  Summed in index
+    order, as ``tests/oracles.py::reference_signed_area`` sums them, they
+    give the polygon's own area.
     """
 
     vertices: tuple[tuple[float, float], ...]
@@ -335,7 +332,7 @@ def _build_arcs(vertices: tuple[tuple[float, float], ...]) -> _Arcs:
     ys = [v[1] for v in vertices]
     next_xs = xs[1:] + xs[:1]
     next_ys = ys[1:] + ys[:1]
-    # x0 * y1 - x1 * y0 for each edge (x0, y0) -> (x1, y1), as _signed_area computes it.
+    # x0 * y1 - x1 * y0 for each edge (x0, y0) -> (x1, y1).
     terms = list(map(operator.sub, map(operator.mul, xs, next_ys), map(operator.mul, next_xs, ys)))
     return _Arcs(vertices, (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
 
@@ -456,13 +453,14 @@ def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) ->
 
 
 def _clipped_area(arcs: _Arcs, pieces: list) -> float:
-    """``_signed_area`` of the expanded pieces, bit for bit.
+    """Signed shoelace area of the expanded pieces, bit for bit.
 
     Inside a range every edge is a polygon edge, whose term is read from
     ``arcs.terms``; only the edges that touch a crossing or join two
-    pieces are computed.  The terms are added one by one in the order
-    ``_signed_area`` adds them: ``reduce`` adds in sequence, where
-    ``sum`` would not (it is compensated from Python 3.12 on).
+    pieces are computed.  The terms are added one by one in vertex order,
+    as the vertex-by-vertex shoelace (``tests/oracles.py``'s
+    ``reference_signed_area``) adds them: ``reduce`` adds in sequence,
+    where ``sum`` would not (it is compensated from Python 3.12 on).
     """
     vertices, _, terms = arcs
     total = 0.0
@@ -495,39 +493,24 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
 
     ``polygon``, when given, must be the ``ellipse_to_polygon(ellipse)``
     result; callers that score one ellipse against many rects build it
-    once and pass it in.  The polygon holds its monotone runs and its n
-    shoelace edge terms, built with it in O(n).  Each clip costs
-    O(runs + log n) per rect edge (see :func:`clip_polygon_to_rect`),
-    and the area one add per kept polygon edge plus the few terms that
-    touch a crossing.  Those are added one by one in the vertex-by-vertex
-    shoelace's order, with ``functools.reduce``, never ``sum()``: ``sum``
-    is compensated from Python 3.12 on, and any other order changes the
-    last bits.  So the IoU is bit-identical to clipping vertex by vertex
-    and summing the shoelace of the clipped list.
+    once and pass it in.  Without it every call builds the polygon, about
+    0.5 ms, even for a rect far from the ellipse.  The polygon holds its
+    monotone runs and its n shoelace edge terms, built with it in O(n).
+    Each clip costs O(runs + log n) per rect edge (see
+    :func:`clip_polygon_to_rect`), and the area one add per kept polygon
+    edge plus the few terms that touch a crossing.  Those are added one
+    by one in the vertex-by-vertex shoelace's order, with
+    ``functools.reduce``, never ``sum()``: ``sum`` is compensated from
+    Python 3.12 on, and any other order changes the last bits.  So the
+    IoU is bit-identical to clipping vertex by vertex and summing the
+    shoelace of the clipped list, as
+    ``tests/oracles.py::reference_iou_ellipse_rect`` does.
 
-    A rect disjoint from the ellipse's ``bounding_rect`` widened by a
-    margin of ``1e-9 * (|center_x| + |center_y| + semi_major) + 1e-300``
-    returns 0.0 before any polygon is built, which is what clipping
-    returns too.  Every polygon vertex, and every crossing the clip adds,
-    lies within a few dozen ulps of ``|center_x| + |center_y| +
-    semi_major`` of the exact box (the 1e-300 covers underflow), some 1e5
-    times less than the margin.  So all of them fall strictly outside
-    the rect's facing edge and the clip comes out empty.  Bounds that
-    overflow never reject.
+    The clip decides every rect of nonzero area: a rect clear of the
+    ellipse clips to nothing and scores 0.0.
     """
     rect_area = area(rect)
     if rect_area <= 0:
-        return 0.0
-    half_w, half_h = _half_extents(ellipse)
-    cx = ellipse.center_x
-    cy = ellipse.center_y
-    margin = 1e-9 * (abs(cx) + abs(cy) + ellipse.semi_major) + 1e-300
-    if (
-        rect.x_min > cx + half_w + margin
-        or rect.x_max < cx - half_w - margin
-        or rect.y_min > cy + half_h + margin
-        or rect.y_max < cy - half_h - margin
-    ):
         return 0.0
     if polygon is None:
         polygon = ellipse_to_polygon(ellipse)

@@ -118,7 +118,11 @@ class MatchOutcome:
 
 
 def region_iou(detection_region: Rect, gt_region: Region) -> float:
-    """IoU between a detection rectangle and a rect or ellipse ground truth."""
+    """IoU between a detection rectangle and a rect or ellipse ground truth.
+
+    An ellipse's polygon is built on every call; :func:`iou_matrix` builds
+    it once per ground truth.
+    """
     if isinstance(gt_region, Ellipse):
         return iou_ellipse_rect(gt_region, detection_region)
     return iou_rect(detection_region, gt_region)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles rather
 than by calling back into the code under test: Monte Carlo estimators
-for areas and IoU, the vertex-by-vertex Sutherland-Hodgman clip, an
-exhaustive assignment search, a vectorized NMS, and a re-matching ROC
+for areas and IoU, the vertex-by-vertex Sutherland-Hodgman clip and
+shoelace, the ellipse IoU built from those two, an exhaustive
+assignment search, a vectorized NMS, and a re-matching ROC
 tally that recomputes every operating point from scratch instead of
 sweeping incrementally.
 """
@@ -113,7 +114,7 @@ def mc_iou_ellipse_rect(e: Ellipse, r: Rect, samples: np.ndarray, work=None) -> 
 
 
 # --------------------------------------------------------------------
-# Vertex-by-vertex polygon clipping
+# Vertex-by-vertex polygon clipping, shoelace and ellipse IoU
 # --------------------------------------------------------------------
 
 def reference_clip_polygon_to_rect(vertices, rect: Rect):
@@ -150,6 +151,38 @@ def reference_clip_polygon_to_rect(vertices, rect: Rect):
             prev = current
             prev_inside = cur_inside
     return output
+
+
+def reference_signed_area(vertices) -> float:
+    """Shoelace formula, one edge at a time; positive for counter-clockwise order."""
+    total = 0.0
+    n = len(vertices)
+    for i in range(n):
+        x0, y0 = vertices[i]
+        x1, y1 = vertices[(i + 1) % n]
+        total += x0 * y1 - x1 * y0
+    return 0.5 * total
+
+
+def reference_iou_ellipse_rect(ellipse: Ellipse, rect: Rect, polygon, clipped=None) -> float:
+    """Ellipse/rect IoU by the reference clip and shoelace of ``polygon``, the ellipse's 1024-gon.
+
+    No shortcut: every rect of nonzero area is clipped.  The library's
+    ``iou_ellipse_rect`` must return exactly this float.  ``clipped``,
+    when given, is that clip's result.
+    """
+    rect_area = (rect.x_max - rect.x_min) * (rect.y_max - rect.y_min)
+    if rect_area <= 0:
+        return 0.0
+    if clipped is None:
+        clipped = reference_clip_polygon_to_rect(polygon.vertices, rect)
+    if len(clipped) < 3:
+        return 0.0
+    inter = abs(reference_signed_area(clipped))
+    union = math.pi * ellipse.semi_major * ellipse.semi_minor + rect_area - inter
+    if union <= 0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
 
 
 # --------------------------------------------------------------------

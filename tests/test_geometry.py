@@ -228,6 +228,24 @@ def test_polygon_stores_its_vertices_as_given():
     assert all(type(x) is float and type(y) is float for x, y in polygon.vertices)
 
 
+def test_polygon_copies_a_vertex_list_into_a_tuple():
+    vertices = [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
+    polygon = Polygon(vertices)
+    from_tuple = Polygon(tuple(vertices))
+    assert type(polygon.vertices) is tuple
+    assert polygon == from_tuple and hash(polygon) == hash(from_tuple)
+    # The caller's list changes; the polygon, its area and its clips do not.
+    vertices.append((-4.0, 2.0))
+    vertices[1] = (9.0, 9.0)
+    assert polygon.vertices == from_tuple.vertices and len(polygon._arcs.terms) == 3
+    assert polygon.area == from_tuple.area == 8.0
+    rect = Rect(-1.0, -1.0, 2.0, 2.0)
+    pieces = geometry._clip(polygon._arcs, rect)
+    assert pieces == geometry._clip(from_tuple._arcs, rect)
+    clipped = oracles.reference_clip_polygon_to_rect(from_tuple.vertices, rect)
+    assert geometry._clipped_area(polygon._arcs, pieces) == oracles.reference_signed_area(clipped)
+
+
 def test_ellipse_validation():
     with pytest.raises(ValueError):
         Ellipse(center_x=0, center_y=0, semi_major=2.0, semi_minor=0.0, angle=0.0)
@@ -569,27 +587,8 @@ def test_nms_matches_array_reference():
 
 
 # --------------------------------------------------------------------
-# Pruned hot paths against their unpruned computations, bit for bit
+# Fast paths against their reference computations, bit for bit
 # --------------------------------------------------------------------
-
-def _unpruned_iou_ellipse_rect(ellipse, rect, polygon, clipped=None):
-    """``iou_ellipse_rect`` without the bounding-box reject, by the reference clip and shoelace.
-
-    ``clipped``, when given, is that clip's result.
-    """
-    rect_area = area(rect)
-    if rect_area <= 0:
-        return 0.0
-    if clipped is None:
-        clipped = oracles.reference_clip_polygon_to_rect(polygon.vertices, rect)
-    if len(clipped) < 3:
-        return 0.0
-    inter = abs(geometry._signed_area(clipped))
-    union = ellipse.area + rect_area - inter
-    if union <= 0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
-
 
 def _edge_values(edge, scale):
     """The edge, 1-4 ulps either side of it, and 1e-12 / 1e-9 relative offsets."""
@@ -627,7 +626,23 @@ def _edge_ellipses(rng):
     return ellipses
 
 
-def test_iou_ellipse_rect_reject_matches_unpruned_bit_for_bit():
+def _extreme_ellipses(rng):
+    """Centers from 0 to +-1e300 and semi-axes from 1e-300 to 1e150, at random angles.
+
+    Tiny axes on a huge center collapse the polygon onto a few floats, and
+    1e-300 axes underflow the squares in ``bounding_rect`` to a zero-size
+    box around a polygon that is not a point.
+    """
+    centers = ((0.0, 0.0), (1e300, -1e300), (-3e299, 7.5), (1e12, -1e150))
+    axes = ((1e-300, 1e-300), (1e-150, 1e-300), (1.0, 0.5), (1e150, 1e150), (1e150, 1e-300))
+    return [
+        Ellipse(cx, cy, major, minor, rng.uniform(-7.0, 7.0))
+        for cx, cy in centers
+        for major, minor in axes
+    ]
+
+
+def test_iou_ellipse_rect_at_the_bounding_box_edges_matches_the_reference_bit_for_bit():
     rng = random.Random(31)
     cases = 0
     nonzero_outside_box = 0
@@ -648,15 +663,38 @@ def test_iou_ellipse_rect_reject_matches_unpruned_bit_for_bit():
             for v in _edge_values(box.y_min, scale):
                 rects.append((Rect(x0, v - span, x1, v), v < box.y_min))
             for rect, outside in rects:
-                got = iou_ellipse_rect(ellipse, rect)
-                want = _unpruned_iou_ellipse_rect(ellipse, rect, polygon)
+                got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+                want = oracles.reference_iou_ellipse_rect(ellipse, rect, polygon)
                 assert got.hex() == want.hex(), (ellipse, rect)
                 cases += 1
                 nonzero_outside_box += outside and got > 0.0
     assert cases == 3 * 15 * 4 * 15
-    # Rects wholly outside bounding_rect that still clip a sliver: a reject
-    # without a margin would turn these into 0.0.
+    # Rects wholly outside bounding_rect that still clip a sliver: a test
+    # on the box alone would turn these into 0.0.
     assert nonzero_outside_box > 0
+
+    # Extreme ellipses, with rects on all four sides of the box, clear of
+    # it or overlapping it by 1e-12 to 1e6 times the box size.
+    cases = nonzero = 0
+    for ellipse in _extreme_ellipses(rng):
+        polygon = ellipse_to_polygon(ellipse)
+        box = bounding_rect(ellipse)
+        size = 2.0 * ellipse.semi_major
+        for gap in (size * f for f in (1e-12, 1e-6, 1e-3, 1.0, 1e6)):
+            for g in (gap, -gap):
+                for rect in (
+                    Rect(box.x_max + g, box.y_min - size, box.x_max + g + size, box.y_max + size),
+                    Rect(box.x_min - g - size, box.y_min - size, box.x_min - g, box.y_max + size),
+                    Rect(box.x_min - size, box.y_max + g, box.x_max + size, box.y_max + g + size),
+                    Rect(box.x_min - size, box.y_min - g - size, box.x_max + size, box.y_min - g),
+                ):
+                    got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+                    want = oracles.reference_iou_ellipse_rect(ellipse, rect, polygon)
+                    assert got.hex() == want.hex(), (ellipse, rect)
+                    assert not math.isnan(got), (ellipse, rect)
+                    cases += 1
+                    nonzero += got > 0.0
+    assert cases == 4 * 5 * 5 * 2 * 4 and nonzero > 0
 
 
 def test_iou_matrix_polygon_reuse_matches_region_iou():
@@ -699,7 +737,7 @@ def _check_clip(vertices, rect, ellipse=None, polygon=None):
     assert _bits(clip_polygon_to_rect(vertices, rect)) == _bits(want), rect
     if ellipse is not None:
         got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
-        want_iou = _unpruned_iou_ellipse_rect(ellipse, rect, polygon, want)
+        want_iou = oracles.reference_iou_ellipse_rect(ellipse, rect, polygon, want)
         assert got.hex() == want_iou.hex(), (ellipse, rect)
     return want
 
@@ -827,7 +865,7 @@ def test_clip_data_is_built_once_per_ellipse_column(monkeypatch):
             dx, dy = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
             region = Rect(box.x_min + dx, box.y_min + dy, box.x_max + dx, box.y_max + dy)
             dets.append(Detection(region=region, score=0.5, image_id="img"))
-    # Far from every ellipse: the bounding-box reject answers before any clip.
+    # Far from every ellipse: the first clip pass keeps nothing.
     far = Detection(region=Rect(1e4, 1e4, 1e4 + 5.0, 1e4 + 5.0), score=0.5, image_id="img")
     matrix = iou_matrix(dets + [far], gts)
     # Four clipped rects in each of the first three columns, none in the fourth.

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -411,22 +413,51 @@ class TestCurveSerialization:
             ("{" + json.dumps([payload]), "invalid JSON"),
             (json.dumps({k: v for k, v in payload.items() if k != "points"}), "missing key"),
             (json.dumps(dict(payload, points=5)), "'points' must be a list"),
-            # Deeper than the recursion limit lets the line-tracking parse go.
-            ('{"points": ' + "[" * 500 + "]" * 500 + "}", "nested too deeply"),
-            ('{"points": ' + "[" * 5000 + "]" * 5000 + "}", "nested too deeply"),
         ]
         for text, reason in cases:
             with pytest.raises(ParseError, match=reason) as excinfo:
                 read_curve(text)
             assert excinfo.value.line == 1, reason
-        # The error names the line of the deepest '[' the parse reached:
-        # with one '[' a line, the k-th opens line k.
-        with pytest.raises(ParseError, match="nested too deeply") as excinfo:
-            read_curve('{\n"points":\n' + "[" * 5000 + "]" * 5000 + "}")
-        assert excinfo.value.line == 3
-        with pytest.raises(ParseError, match="nested too deeply") as excinfo:
-            read_curve('{"points": ' + "[\n" * 5000 + "]" * 5000 + "}")
-        assert 1 < excinfo.value.line < 5000
+
+    def test_read_curve_rejects_json_nested_past_the_recursion_limit(self):
+        # Deeper than the recursion limit lets the line-tracking parse go.
+        # The parse hits RecursionError on the way, which switches off any
+        # sys.settrace tracer (a line-coverage run, say) for the rest of the
+        # process, so these cases run in a child interpreter.
+        texts = [
+            '{"points": ' + "[" * 500 + "]" * 500 + "}",
+            '{"points": ' + "[" * 5000 + "]" * 5000 + "}",
+            # With one '[' a line, the k-th opens line k.
+            '{\n"points":\n' + "[" * 5000 + "]" * 5000 + "}",
+            '{"points": ' + "[\n" * 5000 + "]" * 5000 + "}",
+        ]
+        code = (
+            "import json, sys\n"
+            "from facemetrics.io import ParseError, read_curve\n"
+            "errors = []\n"
+            "for text in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        read_curve(text)\n"
+            "    except ParseError as exc:\n"
+            "        errors.append((str(exc), exc.line))\n"
+            "    else:\n"
+            "        errors.append(None)\n"
+            "print(json.dumps(errors))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            input=json.dumps(texts),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        errors = json.loads(result.stdout)
+        assert len(errors) == len(texts)
+        for error in errors:
+            assert error is not None and "nested too deeply" in error[0], error
+        # The error names the line of the deepest '[' the parse reached.
+        assert [line for _, line in errors[:3]] == [1, 1, 3]
+        assert 1 < errors[3][1] < 5000
 
     def test_read_curve_rejects_unknown_semantics(self):
         text = write_curve(_sample_curve(), format="json")

@@ -224,29 +224,23 @@ def test_optimal_matcher_matches_at_least_as_many():
             assert o.y >= g.y
 
 
-def test_roc_equals_rematch_oracle_spot_check():
-    rng = random.Random(101)
-    for _ in range(25):
-        ds = oracles.random_mini_dataset(rng)
-        for matcher in ("greedy", "optimal"):
-            thresholds, tallies = oracles.roc_rematch_tallies(ds, matcher, 0.5)
-            curve = discrete_roc(ds, matcher)
-            assert [p.threshold for p in curve.points] == thresholds
-            assert [p.x for p in curve.points] == [float(fp) for _, fp, _ in tallies]
-            assert [p.y for p in curve.points] == [
-                tp / ds.total_gt_count for tp, _, _ in tallies
-            ]
-
-
 def _hex_points(curve):
     return [(p.x.hex(), p.y.hex(), p.threshold.hex()) for p in curve.points]
 
 
-def test_roc_equals_rematch_oracle_bit_for_bit():
+def _rematch_oracle_datasets():
+    """40 larger mini datasets at seed 2016, then 25 default-size ones at seed 101."""
     rng = random.Random(2016)
-    seen = Counter()
     for _ in range(40):
-        ds = oracles.random_mini_dataset(rng, max_images=6, max_total_dets=20)
+        yield oracles.random_mini_dataset(rng, max_images=6, max_total_dets=20)
+    rng = random.Random(101)
+    for _ in range(25):
+        yield oracles.random_mini_dataset(rng)
+
+
+def test_roc_equals_rematch_oracle_bit_for_bit():
+    seen = Counter()
+    for ds in _rematch_oracle_datasets():
         total = ds.total_gt_count
         n_images = len(ds.images)
         per_image_scores = [[d.score for d in e.detections] for e in ds.images.values()]
