@@ -22,7 +22,6 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass, field
-from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # only for annotations; Detection lives in matching
@@ -186,12 +185,12 @@ class Ellipse:
 
 @dataclass(frozen=True, slots=True)
 class Polygon:
-    """Simple polygon with counter-clockwise vertices, stored as a tuple.
+    """Simple polygon: counter-clockwise vertices, stored as a tuple of its own ``(x, y)`` pairs.
 
-    A tuple is kept as given (no copy); any other sequence is copied into
-    one, so the caller's list can change without the polygon changing.
-    Simplicity is not re-checked; every constructor in this module emits
-    non-self-intersecting tuples of float pairs by construction.
+    Editing the caller's points later changes neither the polygon nor its
+    area.  A non-finite vertex raises ``ValueError``, as a non-finite
+    ``Rect`` or ``Ellipse`` field does.  Simplicity is not re-checked;
+    every constructor in this module emits simple polygons.
 
     Construction also builds the polygon's clip data for
     :func:`iou_ellipse_rect` (the monotone runs of each coordinate and the
@@ -203,11 +202,11 @@ class Polygon:
     _arcs: _Arcs = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        vertices = tuple(self.vertices)
-        if len(vertices) < 3:
-            raise ValueError(f"Polygon requires >= 3 vertices, got {len(vertices)}")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_arcs", _build_arcs(vertices))
+        if len(self.vertices) < 3:
+            raise ValueError(f"Polygon requires >= 3 vertices, got {len(self.vertices)}")
+        arcs = _build_arcs(self.vertices)
+        object.__setattr__(self, "vertices", arcs.vertices)
+        object.__setattr__(self, "_arcs", arcs)
 
     @property
     def area(self) -> float:
@@ -257,7 +256,7 @@ def ellipse_to_polygon(ellipse: Ellipse) -> Polygon:
         px = a * cos_k
         py = b * sin_k
         append((cx + px * cos_t - py * sin_t, cy + px * sin_t + py * cos_t))
-    return Polygon(tuple(vertices))
+    return Polygon(vertices)
 
 
 @functools.cache
@@ -285,7 +284,7 @@ class _Axis(NamedTuple):
 
 
 class _Arcs(NamedTuple):
-    """A polygon's clip data: its vertices, both axes' runs and its shoelace edge terms.
+    """A polygon's clip data: its ``(x, y)`` pairs, both axes' runs and its shoelace edge terms.
 
     ``terms[i]`` is the shoelace term ``x0 * y1 - x1 * y0`` of the edge
     from vertex ``i`` to vertex ``i + 1`` (cyclically), the same float
@@ -300,12 +299,11 @@ class _Arcs(NamedTuple):
 
 
 def _axis(coords: list[float], rotated: list[float]) -> _Axis:
-    """Runs of ``coords``, given ``rotated``, the same list rotated left by one."""
+    """Runs of the finite ``coords``, given ``rotated``, the same list rotated left by one."""
     n = len(coords)
     # rising[i]: the step from vertex i to vertex i + 1 goes up (i = n - 1
     # closes the polygon and starts no run).  A run ends where that flips,
-    # so each run strictly rises or never rises; flat and NaN steps count
-    # as not rising.
+    # so each run strictly rises or never rises; flat steps count as not rising.
     rising = list(map(operator.lt, coords, rotated))
     starts = [0]
     end = n - 1
@@ -315,26 +313,24 @@ def _axis(coords: list[float], rotated: list[float]) -> _Axis:
             starts.append(rising.index(not rising[first], first, end))
         except ValueError:
             break
-    if math.isnan(sum(coords)):  # a NaN (or both infinities): cut each NaN out on its own
-        cuts = set(starts)
-        for i in compress(range(n), map(operator.ne, coords, coords)):
-            cuts.update((i, i + 1))
-        cuts.discard(n)
-        starts = sorted(cuts)
     ascending = [rising[i] for i in starts]
     starts.append(n)
     return _Axis(coords, starts, ascending)
 
 
-def _build_arcs(vertices: tuple[tuple[float, float], ...]) -> _Arcs:
-    """Clip data of a non-empty vertex tuple: O(n), mostly in C-level ``map`` calls."""
+def _build_arcs(vertices: Sequence[Sequence[float]]) -> _Arcs:
+    """Clip data of a non-empty vertex sequence, in O(n); a non-finite vertex raises ValueError."""
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
+    if not math.isfinite(sum(xs) + sum(ys)):  # a bad coordinate, or a sum past the float range
+        for i, point in enumerate(zip(xs, ys)):
+            if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+                raise ValueError(f"Polygon vertex {i} must be finite, got {point!r}")
     next_xs = xs[1:] + xs[:1]
     next_ys = ys[1:] + ys[:1]
     # x0 * y1 - x1 * y0 for each edge (x0, y0) -> (x1, y1).
     terms = list(map(operator.sub, map(operator.mul, xs, next_ys), map(operator.mul, next_xs, ys)))
-    return _Arcs(vertices, (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
+    return _Arcs(tuple(zip(xs, ys)), (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
 
 
 def _crossing(
@@ -436,17 +432,17 @@ def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) ->
     The clip runs over the monotone runs of each coordinate rather than
     vertex by vertex (see ``_clip``): O(n) to find the runs, then
     O(runs + log n) per rect edge, plus the output.  The list is exactly
-    the per-vertex algorithm's, in the same order, for any input,
-    infinite and NaN coordinates included.  A vertex is inside an edge
-    when ``x >= x_min`` (and so on) holds.
+    the per-vertex algorithm's, as ``(x, y)`` tuples, in the same order,
+    for every finite input; a non-finite vertex raises ``ValueError``.  A
+    vertex is inside an edge when ``x >= x_min`` (and so on) holds.
     """
-    vertices = tuple(vertices)
     if not vertices:
         return []
+    arcs = _build_arcs(vertices)
     out: list[tuple[float, float]] = []
-    for piece in _clip(_build_arcs(vertices), rect):
+    for piece in _clip(arcs, rect):
         if type(piece) is range:
-            out += vertices[piece.start:piece.stop]
+            out += arcs.vertices[piece.start:piece.stop]
         else:
             out.append(piece)
     return out

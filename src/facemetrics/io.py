@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -93,9 +94,9 @@ class AnnotationFile:
     entries: tuple[AnnotationEntry, ...]
 
     def __post_init__(self) -> None:
-        ids = [entry.image_id for entry in self.entries]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(entry.image_id for entry in self.entries)
+        if len(counts) != len(self.entries):
+            dupes = sorted(i for i, n in counts.items() if n > 1)
             raise ValueError(f"duplicate image ids: {dupes}")
 
 

@@ -8,6 +8,7 @@ from facemetrics.anchors import (
     DEFAULT_ANCHOR_SPEC,
     AnchorSpec,
     BoxDelta,
+    ResizePlan,
     _check_grid,
     anchor_grid,
     base_anchors,
@@ -363,6 +364,13 @@ def test_box_delta_rejects_non_finite_fields():
             fields = {"tx": 0.0, "ty": 0.0, "tw": 0.0, "th": 0.0, name: bad}
             with pytest.raises(ValueError, match=f"BoxDelta.{name} must be finite"):
                 BoxDelta(**fields)
+
+
+def test_resize_plan_rejects_a_zero_negative_or_non_finite_scale():
+    assert ResizePlan(scale=2.0, resized_w=4.0, resized_h=6.0).scale == 2.0
+    for bad in (0.0, -0.0, -1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^ResizePlan scale must be positive and finite, got "):
+            ResizePlan(scale=bad, resized_w=1.0, resized_h=1.0)
 
 
 def test_resize_scale_validation():

@@ -473,6 +473,14 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == [taken]
         assert list(taken.iterdir()) == []
 
+    def test_failed_encode_removes_the_staged_file_and_reraises(self, tmp_path):
+        # A lone surrogate cannot be encoded as UTF-8: the error is not an
+        # OSError, so it propagates as it is, after the staged file is gone.
+        out = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_text(str(out), "ok\ud800\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_detection_score_names_its_line(self, score, tmp_path, capsys):
         det = tmp_path / "det.txt"

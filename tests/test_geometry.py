@@ -222,8 +222,26 @@ def test_polygon_validation_and_area():
 
 
 def test_polygon_stores_its_vertices_as_given():
+    # Equal to what was given, in pairs of the polygon's own.
     vertices = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    assert Polygon(vertices).vertices is vertices
+    assert Polygon(vertices).vertices == vertices
+    points = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
+    polygon = Polygon(points)
+    from_tuples = Polygon(((0.0, 0.0), (4.0, 0.0), (0.0, 4.0)))
+    assert polygon == from_tuples and hash(polygon) == hash(from_tuples)
+    assert all(type(p) is tuple for p in polygon.vertices)
+    # The caller's points change; the polygon, its area and its clips do not.
+    points[1][0] = 40.0
+    points[2].append(9.0)
+    points.append([-4.0, 2.0])
+    assert polygon.vertices == from_tuples.vertices and polygon.area == 8.0
+    rect = Rect(-1.0, -1.0, 2.0, 2.0)
+    assert geometry._clip(polygon._arcs, rect) == geometry._clip(from_tuples._arcs, rect)
+    # The clip returns tuples, never the caller's point objects.
+    points = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
+    clipped = clip_polygon_to_rect(points, Rect(-1.0, -1.0, 5.0, 5.0))
+    assert clipped == [(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)]
+    assert all(type(p) is tuple for p in clipped)
     polygon = ellipse_to_polygon(Ellipse(3.0, -2.0, 5.0, 2.0, 0.3))
     assert all(type(x) is float and type(y) is float for x, y in polygon.vertices)
 
@@ -244,6 +262,26 @@ def test_polygon_copies_a_vertex_list_into_a_tuple():
     assert pieces == geometry._clip(from_tuple._arcs, rect)
     clipped = oracles.reference_clip_polygon_to_rect(from_tuple.vertices, rect)
     assert geometry._clipped_area(polygon._arcs, pieces) == oracles.reference_signed_area(clipped)
+
+
+def test_polygon_and_clip_reject_a_non_finite_vertex_and_keep_huge_finite_ones():
+    rect = Rect(0.0, 0.0, 1.0, 1.0)
+    # The first bad vertex is named, also where infinities cancel to NaN in the sum.
+    for vertices, named in (
+        ([(0.0, 0.0), (math.inf, 0.0), (-math.inf, 1.0)], r"\(inf, 0\.0\)"),
+        ([[0.0, 0.0], [1.0, math.nan], [math.nan, -math.inf]], r"\(1\.0, nan\)"),
+    ):
+        message = rf"^Polygon vertex 1 must be finite, got {named}$"
+        with pytest.raises(ValueError, match=message):
+            Polygon(vertices)
+        with pytest.raises(ValueError, match=message):
+            clip_polygon_to_rect(vertices, rect)
+    with pytest.raises(TypeError):
+        Polygon([("0", 0.0), (1.0, 0.0), (0.0, 1.0)])
+    # A sum past the float range is not a bad vertex.
+    huge = [(1e300, 0.0), (1.7e308, 1e300), (0.0, 1.7e308)]
+    assert Polygon(huge).vertices == tuple(huge)
+    assert clip_polygon_to_rect(huge, Rect(0.0, 0.0, 1.75e308, 1.75e308)) == huge
 
 
 def test_ellipse_validation():
@@ -642,6 +680,62 @@ def _extreme_ellipses(rng):
     ]
 
 
+def test_iou_ellipse_rect_is_within_the_polygon_deficit_of_the_exact_iou():
+    """20,000 cells against ``oracles.exact_iou_ellipse_rect``.
+
+    The cells: 185 ``random_ellipse`` ellipses scaled by 1e-6 to 1e6 and
+    the 15 of ``_edge_ellipses`` (thin ones and vertex-angle circles,
+    centers up to 500), 100 rects each.  Half the rects are the bounding
+    box with each side moved by up to 40% of its size; the rest are
+    random rects in and around the box, from 1% to 150% of its size, so
+    they cut the ellipse, sit inside it, hold it, or miss it.  Not
+    covered: the extreme coordinates of ``_extreme_ellipses``, where the
+    polygon's rounded vertices, not its deficit, set the error.
+
+    The 1024-gon is inscribed, so its overlap with a rect is smaller than
+    the ellipse's by at most the polygon's deficit, a relative 6.3e-6 of
+    the ellipse area E.  With the union U at least E / 2 of E + R, that
+    moves the IoU down by at most 2 * 6.3e-6, about 1.3e-5, and never up.
+    """
+    rng = random.Random(64)
+    ellipses = []
+    for _ in range(185):
+        e = oracles.random_ellipse(rng)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        ellipses.append(Ellipse(e.center_x * scale, e.center_y * scale,
+                                e.semi_major * scale, e.semi_minor * scale, e.angle))
+    ellipses += _edge_ellipses(rng)
+    cells = missed = held = 0
+    worst = 0.0
+    for ellipse in ellipses:
+        polygon = ellipse_to_polygon(ellipse)
+        box = bounding_rect(ellipse)
+        w, h = box.x_max - box.x_min, box.y_max - box.y_min
+        for k in range(100):
+            if k % 2:
+                rect = Rect(box.x_min + rng.uniform(-0.4, 0.4) * w,
+                            box.y_min + rng.uniform(-0.4, 0.4) * h,
+                            box.x_max + rng.uniform(-0.4, 0.4) * w,
+                            box.y_max + rng.uniform(-0.4, 0.4) * h)
+            else:
+                x = rng.uniform(box.x_min - 0.5 * w, box.x_max)
+                y = rng.uniform(box.y_min - 0.5 * h, box.y_max)
+                rect = Rect(x, y, x + rng.uniform(0.01, 1.5) * w, y + rng.uniform(0.01, 1.5) * h)
+            got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+            want = oracles.exact_iou_ellipse_rect(ellipse, rect)
+            # Never above the exact IoU, but for rounding: thin ellipses
+            # hold vertices to ulps of a center 1e5 times their minor axis.
+            assert want - 1.3e-5 <= got <= want + 1e-10, (ellipse, rect, got, want)
+            worst = max(worst, want - got)
+            cells += 1
+            missed += got == 0.0
+            held += rect.x_min <= box.x_min and rect.y_min <= box.y_min and (
+                rect.x_max >= box.x_max and rect.y_max >= box.y_max
+            )
+    assert cells == 20_000 and missed >= 500 and held >= 500, (missed, held)
+    assert 1e-6 < worst, worst
+
+
 def test_iou_ellipse_rect_at_the_bounding_box_edges_matches_the_reference_bit_for_bit():
     rng = random.Random(31)
     cases = 0
@@ -834,21 +928,30 @@ def test_clip_matches_the_vertex_by_vertex_clip_on_concave_and_non_finite_polygo
         vertices = [(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)]
         if trial % 3 == 0:  # snap to a grid: ties and repeated coordinates
             vertices = [(float(round(x)), float(round(y))) for x, y in vertices]
-        if trial % 2 == 1:
-            for _ in range(rng.randint(1, 3)):
-                i = rng.randrange(n)
-                x, y = vertices[i]
-                if rng.random() < 0.5:
-                    vertices[i] = (rng.choice(specials), y)
-                else:
-                    vertices[i] = (x, rng.choice(specials))
         for _ in range(5):
             x, y = rng.uniform(-12.0, 8.0), rng.uniform(-12.0, 8.0)
             rect = Rect(x, y, x + rng.uniform(0.0, 12.0), y + rng.uniform(0.0, 12.0))
             _check_clip(vertices, rect)
             _check_clip(tuple(vertices), rect)
-    for vertices in ([(0.0, 0.0)], [(0.0, 0.0), (2.0, 2.0)], [(math.nan, 1.0)] * 3):
+        if trial % 2 == 1:  # the same polygon with non-finite coordinates is refused
+            bad = {}
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(n)
+                x, y = bad.get(i, vertices[i])
+                if rng.random() < 0.5:
+                    bad[i] = (rng.choice(specials), y)
+                else:
+                    bad[i] = (x, rng.choice(specials))
+            broken = [bad.get(i, v) for i, v in enumerate(vertices)]
+            message = rf"^Polygon vertex {min(bad)} must be finite, got "
+            with pytest.raises(ValueError, match=message):
+                Polygon(broken)
+            with pytest.raises(ValueError, match=message):
+                clip_polygon_to_rect(broken, rect)
+    for vertices in ([(0.0, 0.0)], [(0.0, 0.0), (2.0, 2.0)]):
         _check_clip(vertices, Rect(0.5, 0.5, 1.5, 1.5))
+    with pytest.raises(ValueError, match=r"^Polygon vertex 0 must be finite, got \(nan, 1\.0\)$"):
+        clip_polygon_to_rect([(math.nan, 1.0)] * 3, Rect(0.5, 0.5, 1.5, 1.5))
 
 
 def test_clip_data_is_built_once_per_ellipse_column(monkeypatch):

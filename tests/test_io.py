@@ -135,6 +135,14 @@ class TestParseRegionList:
         with pytest.raises(ValueError, match=r"duplicate image ids: \['a'\]"):
             AnnotationFile(entries)
 
+    def test_annotation_file_names_repeated_ids_among_many_in_linear_time(self):
+        entries = [AnnotationEntry(f"img_{i}", ()) for i in range(100_000)]
+        entries[50_000] = AnnotationEntry("img_7", ())
+        entries[99_999] = AnnotationEntry("img_123", ())
+        # A count per id, quadratic in the entries, would take minutes at this size.
+        with pytest.raises(ValueError, match=r"^duplicate image ids: \['img_123', 'img_7'\]$"):
+            AnnotationFile(tuple(entries))
+
     def test_error_carries_line_and_reason(self):
         try:
             parse_region_list("img\n1\n0 0 ten 10\n")
@@ -185,6 +193,15 @@ class TestScoredRects:
     def test_rejects_unscored_lines(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_scored_rects("0 0 1 1 0.5\n0 0 1 1\n")
+
+    def test_skips_blank_lines_and_keeps_counting_them(self):
+        parsed = parse_scored_rects("0 0 1 1 0.5\n\n  \t\n2 2 1 1 0.25\n")
+        assert [(p.rect, p.score) for p in parsed] == [
+            (Rect(0.0, 0.0, 1.0, 1.0), 0.5),
+            (Rect(2.0, 2.0, 3.0, 3.0), 0.25),
+        ]
+        with pytest.raises(ParseError, match="line 3"):
+            parse_scored_rects("0 0 1 1 0.5\n\n0 0 1 1\n")
 
     def test_rejects_garbage(self):
         with pytest.raises(ParseError, match="line 1"):
