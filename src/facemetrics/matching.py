@@ -1,5 +1,10 @@
 """One-to-one assignment of detections to ground-truth regions.
 
+:func:`iou_matrix` gives each detection its IoU with every ground truth
+of the image.  An ellipse column takes an IoU on every cell.  Box columns
+are swept by ``x_min`` and pruned: a disjoint pair is ``0.0`` without an
+:func:`iou_rect` call, which is exactly what that call would return.
+
 Two matchers are provided.  ``match_greedy`` visits detections in
 descending score order and lets each claim the best still-unclaimed
 ground truth; it is cheap, order-stable, and the default everywhere.
@@ -30,6 +35,7 @@ one pair takes none.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
@@ -132,22 +138,39 @@ def iou_matrix(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> list[li
     """Dense detection-by-ground-truth IoU matrix.
 
     Each ellipse ground truth's polygon is built once per call and shared
-    by its column; nothing is kept between calls.  Rect ground truths go
-    straight to :func:`iou_rect`.
+    by its column, whose every cell goes to :func:`iou_ellipse_rect`;
+    nothing is kept between calls.  Rect columns are swept and pruned:
+    sorted by ``x_min``, each detection bisects them on its ``x_max``, and
+    only the pairs that overlap strictly on both axes go to
+    :func:`iou_rect`.  Every other rect cell is ``0.0``, which is what
+    ``iou_rect`` returns for it: for finite floats ``min(a1, b1) -
+    max(a0, b0) <= 0`` holds exactly when ``min(a1, b1) <= max(a0, b0)``.
+    A degenerate (zero-width or zero-height) box overlaps nothing strictly.
     """
     polygons = [
-        ellipse_to_polygon(gt.region) if dets and isinstance(gt.region, Ellipse) else None
-        for gt in gts
+        (j, gt.region, ellipse_to_polygon(gt.region))
+        for j, gt in enumerate(gts)
+        if dets and isinstance(gt.region, Ellipse)
     ]
-    return [
-        [
-            iou_rect(det.region, gt.region)
-            if polygon is None
-            else iou_ellipse_rect(gt.region, det.region, polygon=polygon)
-            for gt, polygon in zip(gts, polygons)
-        ]
-        for det in dets
-    ]
+    boxes = sorted(
+        (box.x_min, box.x_max, box.y_min, box.y_max, j, box)
+        for j, gt in enumerate(gts)
+        if isinstance(box := gt.region, Rect) and box.x_min < box.x_max and box.y_min < box.y_max
+    )
+    x_mins = [box[0] for box in boxes]
+    matrix = []
+    for det in dets:
+        rect = det.region
+        row = [0.0] * len(gts)
+        for j, ellipse, polygon in polygons:
+            row[j] = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+        ax0, ax1, ay0, ay1 = rect.x_min, rect.x_max, rect.y_min, rect.y_max
+        if ax0 < ax1 and ay0 < ay1:
+            for _, bx1, by0, by1, j, box in boxes[: bisect_left(x_mins, ax1)]:
+                if bx1 > ax0 and by0 < ay1 and by1 > ay0:
+                    row[j] = iou_rect(rect, box)
+        matrix.append(row)
+    return matrix
 
 
 def _check_single_image(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> None:
@@ -288,24 +311,43 @@ def _solve_square(cost: list[list[int]]) -> list[int]:
 _Candidate = tuple[int, int, float, int]
 
 
-def _components(pairs: Sequence[_Candidate], n_rows: int) -> list[list[_Candidate]]:
-    """Pairs grouped by connected component of the row/column graph they form.
+class _UnionFind:
+    """Disjoint sets of the nodes ``0 .. size - 1``, with path halving."""
 
-    Components keep the input order of their pairs.
-    """
-    root = list(range(n_rows + 1 + max(j for _, j, _, _ in pairs)))
+    __slots__ = ("root",)
 
-    def find(node: int) -> int:
+    def __init__(self, size: int) -> None:
+        self.root = list(range(size))
+
+    def find(self, node: int) -> int:
+        root = self.root
         while root[node] != node:
             root[node] = root[root[node]]
             node = root[node]
         return node
 
+    def union(self, a: int, b: int) -> tuple[int, int]:
+        """Joins the sets of ``a`` and ``b``: (the joined set's root, the root it absorbed).
+
+        The two are equal when ``a`` and ``b`` were already in one set.
+        """
+        a, b = self.find(a), self.find(b)
+        self.root[a] = b
+        return b, a
+
+
+def _components(pairs: Sequence[_Candidate], n_rows: int) -> list[list[_Candidate]]:
+    """Pairs grouped by connected component of the row/column graph they form.
+
+    Row ``i`` is node ``i`` and column ``j`` node ``n_rows + j``.
+    Components keep the input order of their pairs.
+    """
+    sets = _UnionFind(n_rows + 1 + max(j for _, j, _, _ in pairs))
     for i, j, _, _ in pairs:
-        root[find(i)] = find(n_rows + j)
+        sets.union(i, n_rows + j)
     groups: dict[int, list[_Candidate]] = {}
     for pair in pairs:
-        groups.setdefault(find(pair[0]), []).append(pair)
+        groups.setdefault(sets.find(pair[0]), []).append(pair)
     return list(groups.values())
 
 

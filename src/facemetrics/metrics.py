@@ -8,8 +8,11 @@ in score order, so one full pass gives the pairs at every cut as a
 prefix.  The optimal matcher is re-solved at an own score only when a
 detection newly kept there has a pair above the matching IoU threshold:
 the kept set does not change between own scores, and a row without such
-a pair cannot change the optimum.  Each image emits one event per own
-distinct score (the change in its TP count, FP count and IoU total).
+a pair cannot change the optimum.  That solve covers only the clusters
+(kept detections and ground truths linked through such pairs) that the
+new detections join, since the optimum of every other cluster stays as
+it was.  Each image emits one event per own distinct score (the change
+in its TP count, FP count and IoU total).
 The events are summed by score, and those sums, keyed by every distinct
 score in the dataset, are accumulated in descending score order after
 the empty point at +infinity; no second scan collects the thresholds.
@@ -48,7 +51,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
-from .matching import _EXACT_DENOMINATOR, _exact
+from .matching import _EXACT_DENOMINATOR, _UnionFind, _exact
 from .matching import (
     Detection,
     GroundTruth,
@@ -220,40 +223,64 @@ def _image_events(
     The IoU-sum change is that of the image's rounded ``fsum`` total, in
     exact units (see :func:`~facemetrics.matching._exact`).  Each event
     carries the score of the lowest-index detection of its tie group.
+
+    With the optimal matcher, a union-find keeps the clusters of kept
+    rows linked through admissible pairs.  A tie group whose rows have
+    such pairs merges the clusters they join, then takes one
+    ``optimal_assignment`` on only those clusters' rows; the other
+    clusters keep their pairs.
     """
     dets, gts = entry
     if not dets:
         return []
     matrix = iou_matrix(dets, gts)
+    n_dets = len(dets)
     by_score = _score_order([d.score for d in dets])
-    # Greedy claims in score order, so the pairs at any cut are the first
-    # pairs of one full pass.
+    # Row -> IoU of its pair.  Greedy claims in score order, so the pairs
+    # at any cut are the first pairs of one full pass.  For the optimal
+    # matcher these are the kept rows' current optimum.
     matched = (
         {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
         if matcher == "greedy"
         else {}
     )
+    # Optimal: the clusters of kept rows linked through admissible pairs
+    # (row i is node i, column j node n_dets + j), and each cluster's rows.
+    clusters = _UnionFind(n_dets + len(gts))
+    cluster_rows: dict[int, list[int]] = {}
+    joined: list[int] = []  # newly kept rows with an admissible pair
     ious: list[float] = []
     events = []
     tp = fp = iou_sum = 0
-    # A newly kept row without admissible pairs leaves the optimal pairs as
-    # they were (the other rows keep their order), so the optimal matcher
-    # is re-solved only after a row with one.
-    stale = False
     score = None
     for kept_count, i in enumerate(by_score, start=1):
-        if i in matched:
+        if matcher == "optimal":
+            columns = [j for j, iou in enumerate(matrix[i]) if iou > iou_threshold]
+            if columns:
+                joined.append(i)
+                cluster_rows[i] = [i]
+                for j in columns:
+                    root, absorbed = clusters.union(i, n_dets + j)
+                    if root != absorbed:
+                        cluster_rows.setdefault(root, []).extend(cluster_rows.pop(absorbed))
+        elif i in matched:
             ious.append(matched[i])
-        elif matcher == "optimal" and not stale:
-            stale = any(iou > iou_threshold for iou in matrix[i])
         if dets[i].score != score:  # i opens a tie group
             score = dets[i].score
-        if kept_count < len(dets) and dets[by_score[kept_count]].score == score:
+        if kept_count < n_dets and dets[by_score[kept_count]].score == score:
             continue
-        if stale:
-            kept = [matrix[k] for k in range(len(dets)) if dets[k].score >= score]
-            ious = [iou for _, _, iou in optimal_assignment(kept, iou_threshold)]
-            stale = False
+        if joined:
+            # Only the clusters that a newly kept row joined can change.
+            # Their rows, in ascending index order, keep the row-major
+            # ranks of the tie-break.
+            roots = {clusters.find(k) for k in joined}
+            rows = sorted(k for root in roots for k in cluster_rows[root])
+            for k in rows:
+                matched.pop(k, None)
+            for r, _, iou in optimal_assignment([matrix[k] for k in rows], iou_threshold):
+                matched[rows[r]] = iou
+            ious = list(matched.values())
+            joined = []
         new_sum = _exact(math.fsum(ious))
         new_tp = len(ious)
         new_fp = kept_count - new_tp

@@ -4,9 +4,9 @@ Everything here is deliberately written from first principles rather
 than by calling back into the code under test: Monte Carlo estimators
 for areas and IoU, the vertex-by-vertex Sutherland-Hodgman clip and
 shoelace, the ellipse IoU built from those two, the exact area of an
-ellipse inside a rect, an exhaustive assignment search, a vectorized
-NMS, and a re-matching ROC tally that recomputes every operating point
-from scratch instead of sweeping incrementally.
+ellipse inside a rect, the dense IoU matrix, an exhaustive assignment
+search, a vectorized NMS, and a re-matching ROC tally that recomputes
+every operating point from scratch instead of sweeping incrementally.
 """
 
 import math
@@ -14,8 +14,8 @@ import random
 
 import numpy as np
 
-from facemetrics.geometry import Ellipse, Rect
-from facemetrics.matching import Detection, GroundTruth, iou_matrix
+from facemetrics.geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
+from facemetrics.matching import Detection, GroundTruth
 from facemetrics.metrics import EvalDataset
 
 
@@ -251,6 +251,30 @@ def exact_iou_ellipse_rect(ellipse: Ellipse, rect: Rect) -> float:
 
 
 # --------------------------------------------------------------------
+# Dense IoU matrix
+# --------------------------------------------------------------------
+
+def reference_iou_matrix(dets, gts):
+    """Detection-by-ground-truth IoUs, one call per cell.
+
+    No pruning: one polygon per ellipse column, then ``iou_rect`` or
+    ``iou_ellipse_rect`` on every cell, row by row.
+    """
+    polygons = [
+        ellipse_to_polygon(g.region) if isinstance(g.region, Ellipse) else None for g in gts
+    ]
+    return [
+        [
+            iou_rect(d.region, g.region)
+            if polygon is None
+            else iou_ellipse_rect(g.region, d.region, polygon=polygon)
+            for g, polygon in zip(gts, polygons)
+        ]
+        for d in dets
+    ]
+
+
+# --------------------------------------------------------------------
 # Exhaustive one-to-one assignment
 # --------------------------------------------------------------------
 
@@ -371,9 +395,9 @@ def roc_rematch_tallies(ds: EvalDataset, matcher: str, iou_threshold: float):
     No incremental sweeping: at every score cutoff the surviving
     detections of every image are re-matched in full, greedily by
     :func:`reference_greedy_pairs` or optimally by
-    :func:`exhaustive_best_assignment`.  Only the IoU matrix comes from
-    the library (``iou_matrix``, which the Monte Carlo estimators above
-    check).  IoU totals use one fsum per image and one across images,
+    :func:`exhaustive_best_assignment`, on the IoUs of
+    :func:`reference_iou_matrix` (whose cells the Monte Carlo estimators
+    above check).  IoU totals use one fsum per image and one across images,
     mirroring how any correct aggregation would group them.
     """
     scores = sorted(
@@ -387,7 +411,7 @@ def roc_rematch_tallies(ds: EvalDataset, matcher: str, iou_threshold: float):
         per_image_sums = []
         for entry in ds.images.values():
             dets = [d for d in entry.detections if d.score >= threshold]
-            matrix = iou_matrix(dets, entry.ground_truths)
+            matrix = reference_iou_matrix(dets, entry.ground_truths)
             if matcher == "greedy":
                 order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
                 matched = reference_greedy_pairs(matrix, order, iou_threshold)

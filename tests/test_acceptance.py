@@ -26,7 +26,7 @@ from facemetrics.anchors import (
 )
 from facemetrics.cli import main
 from facemetrics.geometry import Ellipse, Rect, area, iou_ellipse_rect, iou_rect
-from facemetrics.matching import Detection, GroundTruth, iou_matrix, match_optimal
+from facemetrics.matching import Detection, GroundTruth, match_optimal
 from facemetrics.metrics import (
     CurvePoint,
     EvalDataset,
@@ -48,6 +48,7 @@ from oracles import (
     random_mini_dataset,
     random_rect,
     reference_greedy_pairs,
+    reference_iou_matrix,
     roc_rematch_tallies,
     scale_rows_to_ints,
     unit_samples,
@@ -144,7 +145,7 @@ def test_matching_oracle():
         rng = random.Random(1004)
         for _ in range(500):
             dets, gts = random_match_instance(rng)
-            matrix = iou_matrix(dets, gts)
+            matrix = reference_iou_matrix(dets, gts)
             want_pairs, want_total, scaled = exhaustive_best_assignment(matrix, 0.5)
             outcome = match_optimal(dets, gts, iou_threshold=0.5)
             got_pairs = tuple((p.detection, p.ground_truth) for p in outcome.pairs)

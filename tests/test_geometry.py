@@ -1156,3 +1156,86 @@ def test_polygon_builds_and_nms_iou_calls_are_pruned(monkeypatch):
         assert len(nms(grid, thresh)) == len(grid)
         assert len(nms(nested, thresh)) == len(nested)
     assert counts.get("iou_rect", 0) == 0
+
+
+def _overlaps_strictly(a, b):
+    return (
+        min(a.x_max, b.x_max) > max(a.x_min, b.x_min)
+        and min(a.y_max, b.y_max) > max(a.y_min, b.y_min)
+    )
+
+
+def _edge_boxes():
+    """A box, and boxes touching each of its sides exactly or 1 ulp either way."""
+    x0, y0, x1, y1 = 10.0, 20.0, 30.0, 50.0
+    boxes = [Rect(x0, y0, x1, y1)]
+    for edge in (x0, y0, x1, y1):
+        for t in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            if edge == x0:
+                boxes.append(Rect(t - 5.0, 25.0, t, 35.0))
+            elif edge == x1:
+                boxes.append(Rect(t, 25.0, t + 5.0, 35.0))
+            elif edge == y0:
+                boxes.append(Rect(15.0, t - 5.0, 25.0, t))
+            else:
+                boxes.append(Rect(15.0, t, 25.0, t + 5.0))
+    # Zero-width, zero-height and zero-area boxes, through the box and beside it.
+    boxes += [
+        Rect(20.0, 10.0, 20.0, 60.0),
+        Rect(0.0, 30.0, 40.0, 30.0),
+        Rect(20.0, 30.0, 20.0, 30.0),
+        Rect(x0, y0, x0, y1),
+        Rect(x1, y0, x1, y0),
+    ]
+    return boxes
+
+
+def test_iou_matrix_prunes_to_the_dense_loop_bit_for_bit(monkeypatch):
+    counts = {}
+    _count_calls(monkeypatch, matching, "iou_rect", counts)
+    seen = dict.fromkeys(
+        ["touch", "1 ulp apart", "1 ulp overlap", "zero-area det", "zero-area gt", "ellipse"], 0
+    )
+    rng = random.Random(1717)
+    for trial in range(40):
+        quantum = rng.choice([0.0, 0.25, 4.0])
+        gts = [oracles.random_rect(rng, quantum=quantum) for _ in range(rng.randint(0, 25))]
+        # Identical boxes, and boxes that share only their x_min.
+        gts += [rng.choice(gts) for _ in range(3)] if gts else []
+        gts += [Rect(g.x_min, g.y_max, g.x_min + 3.0, g.y_max + 9.0) for g in gts[:3]]
+        dets = [
+            Rect(g.x_min + dx, g.y_min + dy, g.x_max + dx, g.y_max + dy)
+            for g in gts
+            for dx, dy in [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)), (0.0, 0.0)]
+        ]
+        dets += [oracles.random_rect(rng, quantum=quantum) for _ in range(rng.randint(0, 10))]
+        if trial % 3 == 0:
+            dets += _edge_boxes()
+            gts += _edge_boxes()
+        if trial % 4 == 1:
+            gts += [oracles.random_ellipse(rng) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(gts)
+        if trial % 10 == 9:
+            dets = []
+        detections = [Detection(region=r, score=0.5, image_id="img") for r in dets]
+        ground_truths = [GroundTruth(region=r, image_id="img") for r in gts]
+        counts.clear()
+        got = iou_matrix(detections, ground_truths)
+        want = oracles.reference_iou_matrix(detections, ground_truths)
+        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+        assert len(got) == len(dets) and all(len(row) == len(gts) for row in got)
+        rect_pairs = [(a, b) for a in dets for b in gts if isinstance(b, Rect)]
+        assert counts.get("iou_rect", 0) == sum(_overlaps_strictly(a, b) for a, b in rect_pairs)
+        for a, b in rect_pairs:
+            gap = max(max(a.x_min, b.x_min) - min(a.x_max, b.x_max),
+                      max(a.y_min, b.y_min) - min(a.y_max, b.y_max))
+            seen["touch"] += gap == 0.0 and a.width > 0 and b.width > 0
+            seen["1 ulp apart"] += 0.0 < gap < 1e-14
+            seen["1 ulp overlap"] += -1e-14 < gap < 0.0
+            seen["zero-area det"] += a.width == 0 or a.height == 0
+            seen["zero-area gt"] += b.width == 0 or b.height == 0
+        seen["ellipse"] += any(isinstance(g, Ellipse) for g in gts) and dets != []
+    assert min(seen.values()) > 0, seen
+    assert iou_matrix([], [GroundTruth(region=Rect(0.0, 0.0, 1.0, 1.0), image_id="img")]) == []
+    det = Detection(region=Rect(0.0, 0.0, 1.0, 1.0), score=0.5, image_id="img")
+    assert iou_matrix([det, det], []) == [[], []]

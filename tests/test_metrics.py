@@ -6,7 +6,7 @@ import pytest
 
 import facemetrics.metrics
 from facemetrics.geometry import Rect
-from facemetrics.matching import Detection, GroundTruth, iou_matrix
+from facemetrics.matching import Detection, GroundTruth
 from facemetrics.metrics import (
     Curve,
     CurvePoint,
@@ -228,6 +228,26 @@ def _hex_points(curve):
     return [(p.x.hex(), p.y.hex(), p.threshold.hex()) for p in curve.points]
 
 
+def _assert_equals_rematch_oracle(ds, matcher, iou_threshold):
+    """All three curves equal, in ``float.hex``, the from-scratch re-match tallies."""
+    total = ds.total_gt_count
+    n_images = len(ds.images)
+    thresholds, tallies = oracles.roc_rematch_tallies(ds, matcher, iou_threshold)
+    kwargs = dict(iou_threshold=iou_threshold)
+    assert _hex_points(discrete_roc(ds, matcher, **kwargs)) == [
+        (float(fp).hex(), (tp / total).hex(), t.hex())
+        for t, (tp, fp, _) in zip(thresholds, tallies)
+    ]
+    assert _hex_points(continuous_roc(ds, matcher, **kwargs)) == [
+        (float(fp).hex(), (iou_sum / total).hex(), t.hex())
+        for t, (_, fp, iou_sum) in zip(thresholds, tallies)
+    ]
+    assert _hex_points(normalized_fp_roc(ds, matcher, **kwargs)) == [
+        ((fp / n_images).hex(), (tp / total).hex(), t.hex())
+        for t, (tp, fp, _) in zip(thresholds, tallies)
+    ]
+
+
 def _rematch_oracle_datasets():
     """40 larger mini datasets at seed 2016, then 25 default-size ones at seed 101."""
     rng = random.Random(2016)
@@ -241,8 +261,6 @@ def _rematch_oracle_datasets():
 def test_roc_equals_rematch_oracle_bit_for_bit():
     seen = Counter()
     for ds in _rematch_oracle_datasets():
-        total = ds.total_gt_count
-        n_images = len(ds.images)
         per_image_scores = [[d.score for d in e.detections] for e in ds.images.values()]
         all_scores = [s for scores in per_image_scores for s in scores]
         seen["tie within an image"] += any(len(set(s)) < len(s) for s in per_image_scores)
@@ -255,32 +273,120 @@ def test_roc_equals_rematch_oracle_bit_for_bit():
         )
         for matcher in ("greedy", "optimal"):
             for iou_threshold in (0.0, 0.3, 0.5):
-                thresholds, tallies = oracles.roc_rematch_tallies(ds, matcher, iou_threshold)
-                kwargs = dict(iou_threshold=iou_threshold)
-                assert _hex_points(discrete_roc(ds, matcher, **kwargs)) == [
-                    (float(fp).hex(), (tp / total).hex(), t.hex())
-                    for t, (tp, fp, _) in zip(thresholds, tallies)
-                ]
-                assert _hex_points(continuous_roc(ds, matcher, **kwargs)) == [
-                    (float(fp).hex(), (iou_sum / total).hex(), t.hex())
-                    for t, (_, fp, iou_sum) in zip(thresholds, tallies)
-                ]
-                assert _hex_points(normalized_fp_roc(ds, matcher, **kwargs)) == [
-                    ((fp / n_images).hex(), (tp / total).hex(), t.hex())
-                    for t, (tp, fp, _) in zip(thresholds, tallies)
-                ]
+                _assert_equals_rematch_oracle(ds, matcher, iou_threshold)
     # Every edge case the sweep must handle came up at least a few times.
     assert min(seen.values()) >= 5, seen
     assert len(seen) == 4
 
 
+def _crowd_dataset(rng):
+    """Rows of overlapping box faces, as in crowd-optimal, with few distinct scores.
+
+    Row neighbours sit half a face apart (IoU about 0.33), so a detection
+    halfway between two of them clears IoU 0.5 with both and chains their
+    clusters; the others sit on one face or stray.  Scores come from a
+    pool of four, so a tie group often keeps several rows at once.
+    """
+    scores = [round(rng.random(), 2) for _ in range(4)]
+    images = {}
+    for idx in range(rng.randint(1, 3)):
+        image_id = f"crowd/{idx}"
+        faces = []
+        for k in range(rng.randint(2, 7)):
+            size = rng.uniform(46.0, 50.0)
+            x0 = (k % 4) * 24.0 + rng.uniform(-1.0, 1.0)
+            y0 = (k // 4) * 70.0 + rng.uniform(-2.0, 2.0)
+            faces.append((x0, y0, x0 + size, y0 + size))
+        dets = []
+        for _ in range(rng.randint(0, 9)):
+            k = rng.randrange(len(faces))
+            roll = rng.random()
+            if roll < 0.45 and k + 1 < len(faces) and (k + 1) % 4:
+                box = [0.5 * (u + v) for u, v in zip(faces[k], faces[k + 1])]
+            elif roll < 0.9:
+                box = list(faces[k])
+            else:
+                box = [300.0, 300.0, 320.0, 320.0]
+            dx, dy = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            region = Rect(box[0] + dx, box[1] + dy, box[2] + dx, box[3] + dy)
+            dets.append(Detection(region=region, score=rng.choice(scores), image_id=image_id))
+        gts = [GroundTruth(region=Rect(*face), image_id=image_id) for face in faces]
+        images[image_id] = (dets, gts)
+    return EvalDataset.from_images(images)
+
+
+def _row_clusters(matrix, rows, iou_threshold):
+    """``rows`` grouped into the connected clusters of their pairs above the threshold."""
+    groups = []  # pairwise column-disjoint (rows, columns)
+    for i in rows:
+        merged_rows, merged_cols = {i}, {j for j, iou in enumerate(matrix[i]) if iou > iou_threshold}
+        if not merged_cols:
+            continue
+        rest = []
+        for group_rows, group_cols in groups:
+            if group_cols & merged_cols:
+                merged_rows |= group_rows
+                merged_cols |= group_cols
+            else:
+                rest.append((group_rows, group_cols))
+        groups = rest + [(merged_rows, merged_cols)]
+    return [frozenset(group_rows) for group_rows, _ in groups]
+
+
+def _useful_groups(entry, matrix, iou_threshold):
+    """(newly kept rows with an admissible pair, every kept row) per useful own score."""
+    dets = entry.detections
+    for score in sorted({d.score for d in dets}, reverse=True):
+        new = {
+            i for i, d in enumerate(dets)
+            if d.score == score and any(iou > iou_threshold for iou in matrix[i])
+        }
+        if new:
+            yield new, [i for i, d in enumerate(dets) if d.score >= score]
+
+
+def _sweep_cases(entry, iou_threshold):
+    """Which cluster changes the optimal sweep of one image goes through."""
+    matrix = oracles.reference_iou_matrix(*entry)
+    cases = set()
+    before = []
+    optimum = {}  # column -> row, at the previous useful score
+    for new, kept in _useful_groups(entry, matrix, iou_threshold):
+        after = _row_clusters(matrix, kept, iou_threshold)
+        touched = [c for c in after if c & new]
+        if any(sum(b <= c for b in before) >= 2 for c in touched):
+            cases.add("a tie group bridges two clusters")
+        if any(b <= c for b in before for c in touched) and any(b in after for b in before):
+            cases.add("one cluster touched, another unchanged")
+        pairs, _, _ = oracles.exhaustive_best_assignment([matrix[k] for k in kept], iou_threshold)
+        now = {j: kept[r] for r, j in pairs}
+        if any(now.get(j) in new for j in optimum):
+            cases.add("a new row steals a column")
+        before, optimum = after, now
+    return cases
+
+
+def test_optimal_sweep_on_crowds_equals_rematch_oracle_bit_for_bit():
+    seen = Counter()
+    rng = random.Random(1955)
+    for _ in range(30):
+        ds = _crowd_dataset(rng)
+        for iou_threshold in (0.0, 0.3, 0.5):
+            _assert_equals_rematch_oracle(ds, "optimal", iou_threshold)
+            for entry in ds.images.values():
+                seen.update(_sweep_cases(entry, iou_threshold))
+    assert len(seen) == 3 and min(seen.values()) >= 5, seen
+
+
 def _count_calls(monkeypatch, name):
+    """Each call's (first argument, result), in call order."""
     calls = []
     wrapped = getattr(facemetrics.metrics, name)
 
-    def counting(matrix, *args):
-        calls.append(matrix)
-        return wrapped(matrix, *args)
+    def counting(first, *args):
+        result = wrapped(first, *args)
+        calls.append((first, result))
+        return result
 
     monkeypatch.setattr(facemetrics.metrics, name, counting)
     return calls
@@ -306,7 +412,7 @@ def test_roc_matches_each_image_once_per_own_score(monkeypatch):
             len(
                 {
                     det.score
-                    for det, row in zip(e.detections, iou_matrix(e.detections, e.ground_truths))
+                    for det, row in zip(e.detections, oracles.reference_iou_matrix(*e))
                     if any(iou > 0.5 for iou in row)
                 }
             )
@@ -317,6 +423,35 @@ def test_roc_matches_each_image_once_per_own_score(monkeypatch):
         skipped += sum(len({d.score for d in e.detections}) for e in entries) - useful_scores
     # Scores whose detections have no admissible pair came up, and were skipped.
     assert skipped >= 10
+
+
+def test_optimal_sweep_solves_only_the_clusters_new_rows_join(monkeypatch):
+    matrices = _count_calls(monkeypatch, "iou_matrix")
+    solves = _count_calls(monkeypatch, "optimal_assignment")
+    rng = random.Random(7)
+    handed = kept = 0
+    for _ in range(20):
+        ds = _crowd_dataset(rng)
+        entries = [e for e in ds.images.values() if e.detections]
+        for iou_threshold in (0.3, 0.5):
+            matrices.clear()
+            solves.clear()
+            discrete_roc(ds, "optimal", iou_threshold=iou_threshold)
+            # Each solve's rows, as (image, row), found by identity in the images' matrices.
+            where = {
+                id(row): (n, i) for n, (_, matrix) in enumerate(matrices) for i, row in enumerate(matrix)
+            }
+            got = [[where[id(row)] for row in matrix] for matrix, _ in solves]
+            want = []
+            for n, (entry, (_, matrix)) in enumerate(zip(entries, matrices)):
+                for new, kept_rows in _useful_groups(entry, matrix, iou_threshold):
+                    clusters = _row_clusters(matrix, kept_rows, iou_threshold)
+                    want.append([(n, i) for i in sorted(i for c in clusters if c & new for i in c)])
+                    kept += len(kept_rows)
+            # One solve per useful own score, on exactly the touched clusters' rows.
+            assert got == want
+            handed += sum(map(len, got))
+    assert 0 < handed < kept
 
 
 def test_proposal_recall_worked_example():
