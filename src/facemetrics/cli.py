@@ -47,6 +47,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import stat
 import sys
 import tempfile
 import traceback
@@ -184,8 +185,22 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _plain_write_mode(path: str) -> int:
+    """The mode ``open(path, "w")`` would leave: the file's own, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_text(path: str, text: str) -> None:
-    """Write atomically: stage in a sibling temp file, then rename over."""
+    """Write atomically: stage in a sibling temp file, then rename over.
+
+    ``mkstemp`` creates the staged file with mode 0600, so it takes the
+    mode a plain write would give before it is renamed into place.
+    """
     if path == "-":
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -196,6 +211,7 @@ def _write_text(path: str, text: str) -> None:
         fd, staged = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        os.chmod(staged, _plain_write_mode(path))
         os.replace(staged, path)
     except BaseException as exc:
         if staged is not None:

@@ -83,8 +83,11 @@ Region = Union[RectRegion, Ellipse]
 
 
 class AnnotationEntry(NamedTuple):
+    """One image's regions; ``line`` is that of its image id, or 0 if not read from a file."""
+
     image_id: str
     regions: tuple[Region, ...]
+    line: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +167,7 @@ def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFi
                 f"duplicate image id {image_id!r} (first seen on line {first_seen[image_id]})",
                 pos + 1,
             )
-        first_seen[image_id] = pos + 1
+        first_seen[image_id] = id_line = pos + 1
         pos += 1
         if pos >= len(lines) or not lines[pos].strip():
             raise ParseError(f"image {image_id!r}: missing region count", pos + 1)
@@ -186,7 +189,7 @@ def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFi
                 )
             regions.append(_parse_region_line(lines[pos], pos + 1, angle_unit))
             pos += 1
-        entries.append(AnnotationEntry(image_id, tuple(regions)))
+        entries.append(AnnotationEntry(image_id, tuple(regions), id_line))
     return AnnotationFile(tuple(entries))
 
 
@@ -216,13 +219,24 @@ def format_rect(rect: Rect, score: float | None = None) -> str:
     return " ".join(_format_number(value) for value in fields)
 
 
+def _entry_error(entry: AnnotationEntry, message: str, offset: int = 0) -> ValueError:
+    """The error ``message`` about ``entry``, naming the line ``offset`` lines below its image id.
+
+    An entry not read from a file names no line.
+    """
+    if not entry.line:
+        return ValueError(message)
+    return ParseError(message, entry.line + offset)
+
+
 def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> EvalDataset:
     """Join ground-truth and detection files by image id.
 
     Every annotated image appears in the dataset, with or without
     detections.  Detections for an image missing from the annotations
     are an error, as are detection entries without scores or with
-    ellipse regions.
+    ellipse regions.  An error about an entry read from a file is a
+    :class:`ParseError` naming the line of its image id or region.
     """
     images: dict[str, tuple[list[Detection], list[GroundTruth]]] = {}
     for entry in annotations.entries:
@@ -233,18 +247,21 @@ def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> Ev
         images[entry.image_id] = ([], gts)
     for entry in detections.entries:
         if entry.image_id not in images:
-            raise ValueError(
-                f"detections reference image {entry.image_id!r} absent from the annotations"
+            raise _entry_error(
+                entry, f"detections reference image {entry.image_id!r} absent from the annotations"
             )
         dets = images[entry.image_id][0]
-        for region in entry.regions:
+        # The regions follow the count line, which follows the image id.
+        for offset, region in enumerate(entry.regions, start=2):
             if isinstance(region, Ellipse):
-                raise ValueError(
-                    f"image {entry.image_id!r}: detections must be rectangles, got an ellipse"
+                raise _entry_error(
+                    entry,
+                    f"image {entry.image_id!r}: detections must be rectangles, got an ellipse",
+                    offset,
                 )
             if region.score is None:
-                raise ValueError(
-                    f"image {entry.image_id!r}: detection entries must carry scores"
+                raise _entry_error(
+                    entry, f"image {entry.image_id!r}: detection entries must carry scores", offset
                 )
             dets.append(Detection(region=region.rect, score=region.score, image_id=entry.image_id))
     return EvalDataset.from_images(images)

@@ -2,17 +2,20 @@
 
 Curve construction sweeps thresholds over exactly the distinct detection
 scores, plus +infinity for the empty operating point, with no binning.
-The sweep is one pass per image followed by one merge.  Each image is
-matched at most once per own distinct score.  The greedy matcher claims
-in score order, so one full pass gives the pairs at every cut as a
-prefix.  The optimal matcher is re-solved at an own score only when a
-detection newly kept there has a pair above the matching IoU threshold:
-the kept set does not change between own scores, and a row without such
-a pair cannot change the optimum.  That solve covers only the clusters
-(kept detections and ground truths linked through such pairs) that the
-new detections join, since the optimum of every other cluster stays as
-it was.  Each image emits one event per own distinct score (the change
-in its TP count, FP count and IoU total).
+The sweep is one pass per image followed by one merge.  Each image
+walks its detections in tie groups of equal score, best first, and
+keeps one map from each kept detection to the IoU of its pair.  After
+each group it emits one event: the change in its TP count, FP count and
+IoU total.  Each image is matched at most once per own distinct score.
+The greedy matcher claims in score order, so one full pass gives the
+pairs at every cut as a prefix, and a detection enters the map with its
+pair from that pass as it is kept.  The optimal matcher is re-solved at
+a tie group only when a detection it keeps has a pair above the
+matching IoU threshold: the kept set does not change between own
+scores, and a row without such a pair cannot change the optimum.  That
+solve covers only the clusters (kept detections and ground truths
+linked through such pairs) that the new detections join, since the
+optimum of every other cluster stays as it was.
 The events are summed by score, and those sums, keyed by every distinct
 score in the dataset, are accumulated in descending score order after
 the empty point at +infinity; no second scan collects the thresholds.
@@ -48,7 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from itertools import groupby
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
 from .matching import _EXACT_DENOMINATOR, _UnionFind, _exact
@@ -217,58 +221,54 @@ def _image_events(
     entry: ImageEntries,
     matcher: str,
     iou_threshold: float,
-) -> list[tuple[float, int, int, int]]:
+) -> Iterator[tuple[float, int, int, int]]:
     """One image's (score, TP change, FP change, IoU-sum change) per own distinct score.
 
-    The IoU-sum change is that of the image's rounded ``fsum`` total, in
-    exact units (see :func:`~facemetrics.matching._exact`).  Each event
-    carries the score of the lowest-index detection of its tie group.
+    The detections are walked in tie groups, best score first, and each
+    event carries the score of its group's lowest-index detection.  One
+    map holds the kept rows' pairs, row -> IoU: the TP count is its size
+    and the IoU total its ``fsum``, which is correctly rounded in any
+    order, in exact units (see :func:`~facemetrics.matching._exact`).
 
-    With the optimal matcher, a union-find keeps the clusters of kept
-    rows linked through admissible pairs.  A tie group whose rows have
-    such pairs merges the clusters they join, then takes one
-    ``optimal_assignment`` on only those clusters' rows; the other
+    Greedy claims in score order, so the pairs at any cut are the first
+    pairs of one full pass, and a kept row enters the map with its pair
+    from that pass.  With the optimal matcher, a union-find keeps the
+    clusters of kept rows linked through admissible pairs.  A tie group
+    whose rows have such pairs merges the clusters they join, then takes
+    one ``optimal_assignment`` on only those clusters' rows; the other
     clusters keep their pairs.
     """
     dets, gts = entry
     if not dets:
-        return []
+        return
     matrix = iou_matrix(dets, gts)
-    n_dets = len(dets)
-    by_score = _score_order([d.score for d in dets])
-    # Row -> IoU of its pair.  Greedy claims in score order, so the pairs
-    # at any cut are the first pairs of one full pass.  For the optimal
-    # matcher these are the kept rows' current optimum.
-    matched = (
-        {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
-        if matcher == "greedy"
-        else {}
-    )
-    # Optimal: the clusters of kept rows linked through admissible pairs
-    # (row i is node i, column j node n_dets + j), and each cluster's rows.
-    clusters = _UnionFind(n_dets + len(gts))
-    cluster_rows: dict[int, list[int]] = {}
-    joined: list[int] = []  # newly kept rows with an admissible pair
-    ious: list[float] = []
-    events = []
-    tp = fp = iou_sum = 0
-    score = None
-    for kept_count, i in enumerate(by_score, start=1):
-        if matcher == "optimal":
-            columns = [j for j, iou in enumerate(matrix[i]) if iou > iou_threshold]
-            if columns:
-                joined.append(i)
-                cluster_rows[i] = [i]
-                for j in columns:
-                    root, absorbed = clusters.union(i, n_dets + j)
-                    if root != absorbed:
-                        cluster_rows.setdefault(root, []).extend(cluster_rows.pop(absorbed))
-        elif i in matched:
-            ious.append(matched[i])
-        if dets[i].score != score:  # i opens a tie group
-            score = dets[i].score
-        if kept_count < n_dets and dets[by_score[kept_count]].score == score:
-            continue
+    scores = [d.score for d in dets]
+    by_score = _score_order(scores)
+    optimal = matcher == "optimal"
+    if optimal:
+        # Row i is node i and column j node n_dets + j; each root maps to its cluster's rows.
+        n_dets = len(dets)
+        clusters = _UnionFind(n_dets + len(gts))
+        cluster_rows: dict[int, list[int]] = {}
+    else:
+        claims = {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
+    matched: dict[int, float] = {}
+    joined: list[int] = []  # optimal: newly kept rows with an admissible pair
+    kept = tp = fp = iou_sum = 0
+    for score, group in groupby(by_score, key=scores.__getitem__):
+        for i in group:
+            kept += 1
+            if optimal:
+                columns = [j for j, iou in enumerate(matrix[i]) if iou > iou_threshold]
+                if columns:
+                    joined.append(i)
+                    cluster_rows[i] = [i]
+                    for j in columns:
+                        root, absorbed = clusters.union(i, n_dets + j)
+                        if root != absorbed:
+                            cluster_rows.setdefault(root, []).extend(cluster_rows.pop(absorbed))
+            elif i in claims:
+                matched[i] = claims[i]
         if joined:
             # Only the clusters that a newly kept row joined can change.
             # Their rows, in ascending index order, keep the row-major
@@ -279,14 +279,11 @@ def _image_events(
                 matched.pop(k, None)
             for r, _, iou in optimal_assignment([matrix[k] for k in rows], iou_threshold):
                 matched[rows[r]] = iou
-            ious = list(matched.values())
             joined = []
-        new_sum = _exact(math.fsum(ious))
-        new_tp = len(ious)
-        new_fp = kept_count - new_tp
-        events.append((score, new_tp - tp, new_fp - fp, new_sum - iou_sum))
-        tp, fp, iou_sum = new_tp, new_fp, new_sum
-    return events
+        new_tp = len(matched)
+        new_sum = _exact(math.fsum(matched.values()))
+        yield score, new_tp - tp, kept - new_tp - fp, new_sum - iou_sum
+        tp, fp, iou_sum = new_tp, kept - new_tp, new_sum
 
 
 def _roc_curve(
@@ -413,10 +410,13 @@ def curve_query(curve: Curve, x: float) -> float:
     """Step interpolation: y of the last point with point-x <= x.
 
     Below the first point the first y is returned.  With several points
-    at the same x, the latest (lowest-threshold) one wins.
+    at the same x, the latest (lowest-threshold) one wins.  A NaN ``x``
+    is rejected: it compares false with every point.
     """
     if not curve.points:
         raise ValueError("cannot query an empty curve")
+    if math.isnan(x):
+        raise ValueError("query x must not be NaN")
     result = curve.points[0].y
     for point in curve.points:
         if point.x <= x:

@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -480,6 +482,55 @@ class TestExitCodes:
         with pytest.raises(UnicodeEncodeError):
             cli._write_text(str(out), "ok\ud800\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_output_files_get_the_mode_of_a_plain_write(self, tmp_path, capsys):
+        # The staging file is created 0600; the renamed file must not keep that.
+        umask = os.umask(0o022)
+        try:
+            new = tmp_path / "new.txt"
+            assert main(["anchors", "--width", "1", "--height", "1", "--out", str(new)]) == 0
+            assert stat.S_IMODE(new.stat().st_mode) == 0o644
+            existing = tmp_path / "existing.txt"
+            existing.write_text("old\n")
+            existing.chmod(0o640)
+            assert main(["anchors", "--width", "1", "--height", "1", "--out", str(existing)]) == 0
+            assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+            assert existing.read_text() != "old\n"
+            taken = tmp_path / "taken"
+            taken.mkdir()
+            assert main(["anchors", "--width", "1", "--height", "1", "--out", str(taken)]) == 1
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.txt", "new.txt", "taken"]
+            assert list(taken.iterdir()) == []
+        finally:
+            os.umask(umask)
+
+    @pytest.mark.parametrize(
+        "det, error",
+        [
+            (
+                "img1\n2\n0 0 10 10 0.9\n0 0 5 5\n",
+                "line 4: image 'img1': detection entries must carry scores",
+            ),
+            (
+                "\nimg1\n2\n0 0 10 10 0.9\n10 5 0 20 20 1\n",
+                "line 5: image 'img1': detections must be rectangles, got an ellipse",
+            ),
+            (
+                "img1\n1\n0 0 10 10 0.9\n\n\nimg9\n0\n",
+                "line 6: detections reference image 'img9' absent from the annotations",
+            ),
+        ],
+        ids=["unscored", "ellipse", "unknown-image"],
+    )
+    def test_detection_file_errors_name_their_line(self, det, error, tmp_path, capsys):
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("img1\n1\n0 0 10 10\n")
+        det_path = tmp_path / "det.txt"
+        det_path.write_text(det)
+        assert main(["eval", "--gt", str(gt_path), "--det", str(det_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"facemetrics: error: {error}\n"
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_detection_score_names_its_line(self, score, tmp_path, capsys):

@@ -259,6 +259,17 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="rect"):
             build_dataset(annotations, detections)
 
+    def test_errors_name_the_line_of_a_parsed_entry_only(self):
+        annotations = parse_region_list("img\n1\n0 0 10 10\n")
+        parsed = parse_region_list("\nimg\n1\n0 0 10 10 0.5\n\nimg_zzz\n0\n")
+        assert [entry.line for entry in parsed.entries] == [2, 6]
+        with pytest.raises(ParseError, match=r"^line 6: detections reference image 'img_zzz'"):
+            build_dataset(annotations, parsed)
+        built = AnnotationFile((AnnotationEntry("img", (RectRegion(Rect(0, 0, 1, 1)),)),))
+        assert built.entries[0].line == 0
+        with pytest.raises(ValueError, match=r"^image 'img': detection entries must carry scores$"):
+            build_dataset(annotations, built)
+
 
 def _sample_curve() -> Curve:
     return Curve(

@@ -562,6 +562,18 @@ def test_curve_query_step_semantics():
     assert curve_query(curve, math.inf) == 0.9
 
 
+def test_curve_query_rejects_nan_x():
+    # Every point-x <= NaN is false, so a NaN query would read the first y.
+    curve = Curve(
+        points=(CurvePoint(0.0, 0.0, math.inf), CurvePoint(1.0, 0.5, 0.9)),
+        x_semantics=XSemantics.FP_COUNT,
+        y_semantics=YSemantics.TPR_DISCRETE,
+    )
+    for x in (math.nan, -math.nan):
+        with pytest.raises(ValueError, match=r"^query x must not be NaN$"):
+            curve_query(curve, x)
+
+
 def test_curve_query_rejects_empty():
     empty = Curve(
         points=(), x_semantics=XSemantics.FP_COUNT, y_semantics=YSemantics.TPR_DISCRETE
