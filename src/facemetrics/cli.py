@@ -49,8 +49,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
-import traceback
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -185,33 +183,41 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _plain_write_mode(path: str) -> int:
-    """The mode ``open(path, "w")`` would leave: the file's own, else 0o666 less the umask."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        return 0o666 & ~umask
+def _create_staged(path: str) -> tuple[int, str]:
+    """Create a new, randomly named sibling of ``path``; return its fd and name.
+
+    It is created with mode 0o666, which the kernel masks with the umask,
+    as ``open(path, "w")`` would for a new file.  The umask itself is never
+    set: that would change the mode of files other threads create meanwhile.
+    """
+    prefix = os.path.join(os.path.dirname(os.path.abspath(path)), os.path.basename(path) + ".")
+    while True:
+        staged = prefix + os.urandom(6).hex()
+        with contextlib.suppress(FileExistsError):
+            return os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), staged
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write atomically: stage in a sibling temp file, then rename over.
+    """Write atomically: stage in a sibling file, then rename over.
 
-    ``mkstemp`` creates the staged file with mode 0600, so it takes the
-    mode a plain write would give before it is renamed into place.
+    The renamed file has the mode a plain write would leave: the target's
+    own if it exists, else 0o666 less the umask.
     """
     if path == "-":
         sys.stdout.write(text)
         sys.stdout.flush()
         return
-    directory = os.path.dirname(os.path.abspath(path))
     staged = None
     try:
-        fd, staged = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".")
+        fd, staged = _create_staged(path)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        os.chmod(staged, _plain_write_mode(path))
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            pass
+        else:
+            os.chmod(staged, mode)
         os.replace(staged, path)
     except BaseException as exc:
         if staged is not None:
@@ -488,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"facemetrics: error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - a bug, reported as such
+        import traceback  # only this branch needs it; kept off the start-up path
+
         traceback.print_exc()
         print("facemetrics: internal error (invariant violation)", file=sys.stderr)
         return 2

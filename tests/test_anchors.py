@@ -113,6 +113,15 @@ def test_anchor_grid_matches_the_nested_loop_bit_for_bit():
     assert [_hex_corners(r) for r in anchor_grid(5, 3, spec)] == [_hex_corners(r) for r in expected]
 
 
+def test_anchor_grid_shares_each_edge_along_its_column_or_row():
+    # An x edge depends only on the column and a y edge only on the row, so
+    # a 64x38 grid of nine anchors needs at most 2 * 9 * (64 + 38) distinct
+    # floats, not four for each of its 21,888 anchors.
+    grid = anchor_grid(64, 38, DEFAULT_ANCHOR_SPEC)
+    edges = {id(v) for r in grid for v in (r.x_min, r.y_min, r.x_max, r.y_max)}
+    assert len(edges) <= 2 * 9 * (64 + 38)
+
+
 def test_anchor_grid_rejects_empty():
     with pytest.raises(ValueError):
         anchor_grid(0, 3, DEFAULT_ANCHOR_SPEC)

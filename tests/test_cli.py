@@ -504,6 +504,24 @@ class TestExitCodes:
         finally:
             os.umask(umask)
 
+    def test_writing_a_new_file_leaves_the_umask_alone(self, tmp_path, monkeypatch, capsys):
+        # Setting the umask, even for a moment, would change the mode of any
+        # file another thread of the process creates meanwhile.
+        def no_umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        umask = os.umask(0o027)
+        try:
+            new = tmp_path / "new.txt"
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", no_umask)
+                assert main(["anchors", "--width", "1", "--height", "1", "--out", str(new)]) == 0
+            assert capsys.readouterr().err == ""
+            assert stat.S_IMODE(new.stat().st_mode) == 0o640
+            assert list(tmp_path.iterdir()) == [new]
+        finally:
+            os.umask(umask)
+
     @pytest.mark.parametrize(
         "det, error",
         [
@@ -596,6 +614,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "internal error" in err
         assert "RuntimeError" in err
+
+    def test_import_leaves_traceback_unloaded(self):
+        # Only the exit-2 branch prints a traceback, so only it imports the
+        # module.  -I -S keeps the environment and site-packages out.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import facemetrics.cli; "
+            "assert 'traceback' not in sys.modules, 'traceback imported'"
+        )
+        subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True)
 
     @pytest.mark.parametrize(
         "argv, error",
