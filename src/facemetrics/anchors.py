@@ -127,20 +127,21 @@ def base_anchors(spec: AnchorSpec) -> list[Rect]:
     return anchors
 
 
-def _check_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> None:
-    """Reject an empty grid, or one that :func:`anchor_grid` cannot build faithfully.
+def _check_grid(
+    feature_w: int, feature_h: int, spec: AnchorSpec
+) -> tuple[list[list[tuple[float, float]]], list[list[tuple[float, float]]]]:
+    """Edges of a feature grid's anchors, or an error if it cannot be built faithfully.
 
-    Both tests use ``anchor_grid``'s own expressions, so exactly those
-    grids are rejected:
-
-    * overflow: the farthest anchor corner overflows.  Every other
-      coordinate of the grid is finite when that one is.
-    * collapse: a center ``c`` so dwarfs an anchor side that its edges
-      ``lo + c`` and ``hi + c`` round to the same float, leaving a
-      zero-area box.  Every base anchor is tested at every center,
-      O((w + h) * bases), unless every base side exceeds twice the float
-      spacing at the farthest center: base anchors are symmetric about
-      0, so then no two edges can round together.
+    Returns ``(columns, rows)``: for each grid column, every base anchor's
+    ``(x_min + cx, x_max + cx)``, and for each grid row its
+    ``(y_min + cy, y_max + cy)``.  An x edge depends only on the column and
+    a y edge only on the row, so each is computed once and its float shared
+    by every anchor of that column or row: 2 * bases * (w + h) floats
+    instead of 4 * bases * w * h.  The grid is rejected when it is empty,
+    when the farthest anchor corner overflows (every other coordinate is
+    finite when that one is), or when a center so dwarfs a positive anchor
+    side that both its edges rounded to the same float, leaving a zero-area
+    box.
     """
     if feature_w < 1 or feature_h < 1:
         raise ValueError(f"anchor_grid requires a non-empty grid, got {feature_w}x{feature_h}")
@@ -157,18 +158,24 @@ def _check_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> None:
         raise ValueError(
             f"anchor_grid overflows for a {feature_w}x{feature_h} grid at stride {spec.stride}"
         )
-    for side, cells, far, edges in (
-        ("width", feature_w, far_cx, [(b.x_min, b.x_max) for b in bases]),
-        ("height", feature_h, far_cy, [(b.y_min, b.y_max) for b in bases]),
+    columns = [
+        [(b.x_min + cx, b.x_max + cx) for b in bases]
+        for cx in ((i + 0.5) * spec.stride for i in range(feature_w))
+    ]
+    rows = [
+        [(b.y_min + cy, b.y_max + cy) for b in bases]
+        for cy in ((j + 0.5) * spec.stride for j in range(feature_h))
+    ]
+    for side, lines, positive in (
+        ("width", columns, [k for k, b in enumerate(bases) if b.x_min < b.x_max]),
+        ("height", rows, [k for k, b in enumerate(bases) if b.y_min < b.y_max]),
     ):
-        if min(hi - lo for lo, hi in edges) > 2.0 * math.ulp(far):
-            continue
-        centers = [(i + 0.5) * spec.stride for i in range(cells)]
-        if any(lo + c == hi + c for lo, hi in edges if lo < hi for c in centers):
+        if any(line[k][0] == line[k][1] for line in lines for k in positive):
             raise ValueError(
                 f"anchor_grid collapses anchors to zero {side} for a {feature_w}x{feature_h} "
                 f"grid at stride {spec.stride}"
             )
+    return columns, rows
 
 
 def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
@@ -178,19 +185,7 @@ def anchor_grid(feature_w: int, feature_h: int, spec: AnchorSpec) -> list[Rect]:
     is row-major: j (rows) outermost, then i, then the anchor index, for
     exactly ``feature_w * feature_h * anchors_per_location`` boxes.
     """
-    _check_grid(feature_w, feature_h, spec)
-    bases = base_anchors(spec)
-    # An x edge depends only on the column and a y edge only on the row, so
-    # each is computed once and its float shared by every anchor of that
-    # column or row: 2 * bases * (w + h) floats instead of 4 * bases * w * h.
-    columns = [
-        [(b.x_min + cx, b.x_max + cx) for b in bases]
-        for cx in ((i + 0.5) * spec.stride for i in range(feature_w))
-    ]
-    rows = [
-        [(b.y_min + cy, b.y_max + cy) for b in bases]
-        for cy in ((j + 0.5) * spec.stride for j in range(feature_h))
-    ]
+    columns, rows = _check_grid(feature_w, feature_h, spec)
     return [
         Rect(x0, y0, x1, y1)
         for row in rows

@@ -288,14 +288,20 @@ class _Arcs(NamedTuple):
 
     ``terms[i]`` is the shoelace term ``x0 * y1 - x1 * y0`` of the edge
     from vertex ``i`` to vertex ``i + 1`` (cyclically), the same float
-    wherever that edge appears in a clipped polygon.  Summed in index
-    order, as ``tests/oracles.py::reference_signed_area`` sums them, they
-    give the polygon's own area.
+    wherever that edge appears in a clipped polygon, with every
+    coordinate taken less ``origin``.  Summed in index order, as
+    ``tests/oracles.py::reference_signed_area`` sums them, they give the
+    polygon's own area.  ``origin`` is ``(0.0, 0.0)``, which leaves every
+    coordinate's bits alone, unless those terms or their sum are not
+    finite (far from ``(0, 0)`` a product ``x0 * y1`` overflows, and
+    inf - inf is NaN); then it is the first vertex, if the terms about it
+    sum to a finite area.  The shoelace sum does not depend on the origin.
     """
 
     vertices: tuple[tuple[float, float], ...]
     axes: tuple[_Axis, _Axis]
     terms: list[float]
+    origin: tuple[float, float]
 
 
 def _axis(coords: list[float], rotated: list[float]) -> _Axis:
@@ -328,9 +334,28 @@ def _build_arcs(vertices: Sequence[Sequence[float]]) -> _Arcs:
                 raise ValueError(f"Polygon vertex {i} must be finite, got {point!r}")
     next_xs = xs[1:] + xs[:1]
     next_ys = ys[1:] + ys[:1]
-    # x0 * y1 - x1 * y0 for each edge (x0, y0) -> (x1, y1).
-    terms = list(map(operator.sub, map(operator.mul, xs, next_ys), map(operator.mul, next_xs, ys)))
-    return _Arcs(tuple(zip(xs, ys)), (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
+    origin = (0.0, 0.0)
+    terms = _shoelace_terms(xs, ys, next_xs, next_ys)
+    # sum() is the in-order sum plus, from Python 3.12 on, a compensation,
+    # so it is finite only when the in-order sum is; at a fifth of the
+    # cost, it screens first.
+    if not math.isfinite(sum(terms)) and not math.isfinite(
+        functools.reduce(operator.add, terms, 0.0)
+    ):
+        ox, oy = xs[0], ys[0]
+        dxs = [x - ox for x in xs]
+        dys = [y - oy for y in ys]
+        shifted = _shoelace_terms(dxs, dys, dxs[1:] + dxs[:1], dys[1:] + dys[:1])
+        if math.isfinite(functools.reduce(operator.add, shifted, 0.0)):
+            origin, terms = (ox, oy), shifted
+    return _Arcs(tuple(zip(xs, ys)), (_axis(xs, next_xs), _axis(ys, next_ys)), terms, origin)
+
+
+def _shoelace_terms(
+    xs: list[float], ys: list[float], next_xs: list[float], next_ys: list[float]
+) -> list[float]:
+    """``x0 * y1 - x1 * y0`` for each edge ``(x0, y0) -> (x1, y1)``."""
+    return list(map(operator.sub, map(operator.mul, xs, next_ys), map(operator.mul, next_xs, ys)))
 
 
 def _crossing(
@@ -358,7 +383,7 @@ def _clip(arcs: _Arcs, rect: Rect) -> list:
     of the run as one index range.  Each pass costs O(runs + log n) for
     its ranges plus O(1) per crossing.
     """
-    vertices, axes, _ = arcs
+    vertices, axes, _, _ = arcs
     pieces: list = [range(len(vertices))]
     for axis, bound, keep_above in (
         (0, rect.x_min, True),   # x >= x_min
@@ -453,12 +478,13 @@ def _clipped_area(arcs: _Arcs, pieces: list) -> float:
 
     Inside a range every edge is a polygon edge, whose term is read from
     ``arcs.terms``; only the edges that touch a crossing or join two
-    pieces are computed.  The terms are added one by one in vertex order,
+    pieces are computed, on coordinates less ``arcs.origin`` as the
+    cached terms are.  The terms are added one by one in vertex order,
     as the vertex-by-vertex shoelace (``tests/oracles.py``'s
     ``reference_signed_area``) adds them: ``reduce`` adds in sequence,
     where ``sum`` would not (it is compensated from Python 3.12 on).
     """
-    vertices, _, terms = arcs
+    vertices, _, terms, (ox, oy) = arcs
     total = 0.0
     prev = None
     for piece in pieces:
@@ -472,10 +498,10 @@ def _clipped_area(arcs: _Arcs, pieces: list) -> float:
         if prev is None:
             head = start
         else:
-            total += prev[0] * start[1] - start[0] * prev[1]
+            total += (prev[0] - ox) * (start[1] - oy) - (start[0] - ox) * (prev[1] - oy)
         total = functools.reduce(operator.add, inner, total)
         prev = end
-    total += prev[0] * head[1] - head[0] * prev[1]
+    total += (prev[0] - ox) * (head[1] - oy) - (head[0] - ox) * (prev[1] - oy)
     return 0.5 * total
 
 
@@ -500,7 +526,11 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
     Python 3.12 on, and any other order changes the last bits.  So the
     IoU is bit-identical to clipping vertex by vertex and summing the
     shoelace of the clipped list, as
-    ``tests/oracles.py::reference_iou_ellipse_rect`` does.
+    ``tests/oracles.py::reference_iou_ellipse_rect`` does.  The one
+    exception is a polygon so far from ``(0, 0)`` that its own shoelace
+    terms do not sum to a finite area: its terms are then taken about its
+    first vertex (see ``_Arcs``), and its IoUs may differ from the
+    reference's, which are NaN wherever a non-finite term enters.
 
     The clip decides every rect of nonzero area: a rect clear of the
     ellipse clips to nothing and scores 0.0.

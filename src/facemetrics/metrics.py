@@ -121,7 +121,11 @@ class Curve:
     y_semantics: YSemantics
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(CurvePoint(*p) for p in self.points))
+        object.__setattr__(
+            self,
+            "points",
+            tuple(p if type(p) is CurvePoint else CurvePoint(*p) for p in self.points),
+        )
         previous = None
         for index, point in enumerate(self.points):
             if not 0.0 <= point.y <= 1.0:

@@ -29,7 +29,7 @@ from facemetrics.geometry import (
 from facemetrics import cli, geometry, matching
 from facemetrics.anchors import DEFAULT_ANCHOR_SPEC, BoxDelta, anchor_grid, decode, top_n
 from facemetrics.matching import Detection, GroundTruth, iou_matrix, region_iou
-from facemetrics.metrics import EvalDataset
+from facemetrics.metrics import EvalDataset, ImageEntries, discrete_roc
 
 import oracles
 
@@ -789,6 +789,36 @@ def test_iou_ellipse_rect_at_the_bounding_box_edges_matches_the_reference_bit_fo
                     cases += 1
                     nonzero += got > 0.0
     assert cases == 4 * 5 * 5 * 2 * 4 and nonzero > 0
+
+
+def test_an_ellipse_whose_shoelace_products_overflow_gets_a_finite_iou():
+    # Far from (0, 0) a product x0 * y1 passes the float range though the
+    # ellipse and its area are finite, and inf - inf is NaN.  The first
+    # ellipse's vertices hold the 1024-gon as at the origin; the second's
+    # sit on a float grid of spacing u only a few hundred times finer than
+    # its minor axis.  Each clipped vertex is off by at most u / sqrt(2), so
+    # the overlap by at most the clip's perimeter (under the ellipse's,
+    # 2 pi a) times that, and the IoU by at most 2 / R times the overlap,
+    # R >= pi a b / 2 the rect's area: under 6 u / b, plus the polygon's
+    # deficit.
+    for ellipse in (
+        Ellipse(2e154, -2e154, 1e150, 5e149, 0.3),
+        Ellipse(1e160, -1e160, 1e146, 5e145, 0.3),
+    ):
+        polygon = ellipse_to_polygon(ellipse)
+        assert math.isfinite(polygon.area)
+        box = bounding_rect(ellipse)
+        u = math.ulp(max(abs(box.x_min), abs(box.x_max), abs(box.y_min), abs(box.y_max)))
+        bound = 1.3e-5 + 6.0 * u / ellipse.semi_minor
+        left = Rect(box.x_min, box.y_min, 0.5 * (box.x_min + box.x_max), box.y_max)
+        for rect in (box, left):
+            got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+            assert abs(got - oracles.exact_iou_ellipse_rect(ellipse, rect)) <= bound, (ellipse, rect)
+        # A box on the ellipse matches it.
+        gt = GroundTruth(region=ellipse, image_id="far")
+        det = Detection(region=box, score=0.9, image_id="far")
+        curve = discrete_roc(EvalDataset(images={"far": ImageEntries((det,), (gt,))}))
+        assert curve.points[-1].y == 1.0 and curve.points[-1].x == 0.0
 
 
 def test_iou_matrix_polygon_reuse_matches_region_iou():

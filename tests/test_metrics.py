@@ -206,6 +206,17 @@ def test_curve_validation():
     )
 
 
+def test_curve_keeps_the_points_it_is_given():
+    given = CurvePoint(0.0, 0.0, math.inf)
+    curve = Curve(
+        points=(given, (1.0, 0.5, 0.9)),
+        x_semantics=XSemantics.FP_COUNT,
+        y_semantics=YSemantics.TPR_DISCRETE,
+    )
+    assert curve.points[0] is given
+    assert type(curve.points[1]) is CurvePoint and curve.points[1] == (1.0, 0.5, 0.9)
+
+
 def test_roc_builders_reject_iou_thresholds_outside_unit_interval():
     ds = _single_image_dataset()
     for iou_threshold in (math.nan, -0.1, 1.5):
