@@ -210,8 +210,16 @@ class Polygon:
 
     @property
     def area(self) -> float:
-        """The shoelace area: the cached edge terms added one by one in vertex order."""
-        return abs(0.5 * functools.reduce(operator.add, self._arcs.terms, 0.0))
+        """The shoelace area: the cached edge terms added one by one in vertex order.
+
+        When their sum, twice the area, passes the float range, the halved
+        terms are added instead, so an area below the range stays finite.
+        """
+        terms = self._arcs.terms
+        total = functools.reduce(operator.add, terms, 0.0)
+        if math.isinf(total):
+            return abs(functools.reduce(operator.add, [0.5 * t for t in terms], 0.0))
+        return abs(0.5 * total)
 
 
 def area(rect: Rect) -> float:
@@ -534,24 +542,65 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
 
     The clip decides every rect of nonzero area: a rect clear of the
     ellipse clips to nothing and scores 0.0.
+
+    Where the clipped area, the rect's area or the union passes the float
+    range (an ellipse or rect whose area nears 1.8e308), the IoU is taken
+    on a copy scaled down by a power of two (see ``_scaled_down_iou``).
     """
     rect_area = area(rect)
     if rect_area <= 0:
         return 0.0
     if polygon is None:
         polygon = ellipse_to_polygon(ellipse)
+    return _polygon_rect_iou(polygon, ellipse.area, rect, rect_area)
+
+
+def _polygon_rect_iou(polygon: Polygon, ellipse_area: float, rect: Rect, rect_area: float) -> float:
+    """:func:`iou_ellipse_rect` on the ellipse's polygon and area."""
     arcs = polygon._arcs
     pieces = _clip(arcs, rect)
     if sum(len(p) if type(p) is range else 1 for p in pieces) < 3:
         return 0.0
     inter = abs(_clipped_area(arcs, pieces))
-    union = ellipse.area + rect_area - inter
+    union = ellipse_area + rect_area - inter
+    if not math.isfinite(union):
+        return _scaled_down_iou(polygon, ellipse_area, rect)
     if union <= 0:
         return 0.0
     iou = inter / union
     # Mixed exact/polygonal areas can nudge the ratio past the ideal
     # bounds by float error only.
     return min(max(iou, 0.0), 1.0)
+
+
+# The scaled copy of ``_scaled_down_iou`` keeps every coordinate below
+# 2**_SCALED_EXPONENT, so every product, shoelace sum and union stays far
+# inside the float range.
+_SCALED_EXPONENT = 500
+
+
+def _scaled_down_iou(polygon: Polygon, ellipse_area: float, rect: Rect) -> float:
+    """The IoU of a polygon and rect whose areas or union pass the float range.
+
+    Every vertex and rect corner is scaled by the power of two ``2**shift``
+    that brings the largest of them just below ``2**_SCALED_EXPONENT``, and
+    the ellipse's area by ``2**(2 * shift)``.  A union overflows only where
+    some coordinate passes ``2**505`` (about a thousand shoelace terms of
+    at most ``8 * M**2`` each), so ``shift`` is negative, at least -524,
+    and the scaled copy's union is finite.  Scaling by a power of two is
+    exact for every value that stays normal, and the clip's crossings,
+    the shoelace terms and the areas are then the scaled values of the
+    original's, so the IoU is the one unbounded exponents would give.
+    Only a value below ``2**(-1022 - shift)`` rounds, by less than
+    ``2**(-1074 - shift)``; nothing underflows to an error, since the
+    scaled copy is built from the polygon, not from a new ``Ellipse``.
+    """
+    xs, ys = (axis.coords for axis in polygon._arcs.axes)
+    corners = (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
+    shift = _SCALED_EXPONENT - math.frexp(max(map(abs, (*xs, *ys, *corners))))[1]
+    scaled = Polygon([(math.ldexp(x, shift), math.ldexp(y, shift)) for x, y in zip(xs, ys)])
+    box = Rect(*(math.ldexp(v, shift) for v in corners))
+    return _polygon_rect_iou(scaled, math.ldexp(ellipse_area, 2 * shift), box, area(box))
 
 
 def _half_extents(ellipse: Ellipse) -> tuple[float, float]:

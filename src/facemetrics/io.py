@@ -379,7 +379,7 @@ def _json_with_list_lines(text: str) -> tuple[object, dict[int, int]]:
         lines[id(values)] = opened_on
         return values, end
 
-    decoder = json.JSONDecoder()
+    decoder = json.JSONDecoder(parse_int=float)
     decoder.parse_array = parse_array
     decoder.scan_once = json.scanner.py_make_scanner(decoder)
     try:
@@ -394,10 +394,12 @@ def _curve_from_json(text: str) -> Curve:
 
     The C scanner parses first.  Only when that parse or the curve built
     from it fails is the text parsed again with line tracking, so the
-    error names the line it was found on.
+    error names the line it was found on.  Both parses read a JSON integer
+    as a float, so one past the float range reads as ``inf``, as ``1e400``
+    does, and the curve's own rules judge it.
     """
     try:
-        return _curve_from_payload(json.loads(text), None)
+        return _curve_from_payload(json.loads(text, parse_int=float), None)
     except (ValueError, RecursionError):  # JSONDecodeError and ParseError are ValueErrors
         pass
     try:
@@ -429,11 +431,18 @@ def _curve_from_payload(payload: dict, lines: dict[int, int] | None) -> Curve:
         if not isinstance(raw, list) or len(raw) != 3:
             raise ParseError(f"each point must be a 3-element list, got {raw!r}", lineno)
         try:
-            points.append(CurvePoint(*(float(v) for v in raw)))
+            points.append(CurvePoint(*map(_json_float, raw)))
         except (TypeError, ValueError):
             raise ParseError(f"non-numeric point {raw!r}", lineno) from None
         linenos.append(lineno)
     return _build_curve(points, x_sem, y_sem, linenos)
+
+
+def _json_float(value: object) -> float:
+    """A JSON point value as a float: a number, or a string such as ``"inf"``; never a bool."""
+    if isinstance(value, bool):
+        raise TypeError("a JSON true or false is not a number")
+    return float(value)
 
 
 def read_curve(text: str) -> Curve:

@@ -218,6 +218,16 @@ def greedy_assignment(
     return pairs
 
 
+def _admissible(matrix: Sequence[Sequence[float]], iou_threshold: float) -> list[_Candidate]:
+    """Every ``(row, col, IoU)`` whose IoU is strictly above the threshold, row-major."""
+    return [
+        (i, j, value)
+        for i, row in enumerate(matrix)
+        for j, value in enumerate(row)
+        if value > iou_threshold
+    ]
+
+
 def greedy_assignment_by_iou(
     matrix: Sequence[Sequence[float]],
     iou_threshold: float,
@@ -228,13 +238,7 @@ def greedy_assignment_by_iou(
     row-major and a reverse sort is stable.  Used for proposal recall,
     where no score ordering is wanted.
     """
-    candidates = [
-        (i, j, value)
-        for i, row in enumerate(matrix)
-        for j, value in enumerate(row)
-        if value > iou_threshold
-    ]
-    candidates.sort(key=itemgetter(2), reverse=True)
+    candidates = sorted(_admissible(matrix, iou_threshold), key=itemgetter(2), reverse=True)
     used_rows: set[int] = set()
     used_cols: set[int] = set()
     pairs = []
@@ -307,8 +311,8 @@ def _solve_square(cost: list[list[int]]) -> list[int]:
     return columns
 
 
-# An admissible pair: (row, col, IoU, IoU as an exact integer weight).
-_Candidate = tuple[int, int, float, int]
+# An admissible pair: (row, col, IoU).
+_Candidate = tuple[int, int, float]
 
 
 class _UnionFind:
@@ -342,8 +346,8 @@ def _components(pairs: Sequence[_Candidate], n_rows: int) -> list[list[_Candidat
     Row ``i`` is node ``i`` and column ``j`` node ``n_rows + j``.
     Components keep the input order of their pairs.
     """
-    sets = _UnionFind(n_rows + 1 + max(j for _, j, _, _ in pairs))
-    for i, j, _, _ in pairs:
+    sets = _UnionFind(n_rows + 1 + max(j for _, j, _ in pairs))
+    for i, j, _ in pairs:
         sets.union(i, n_rows + j)
     groups: dict[int, list[_Candidate]] = {}
     for pair in pairs:
@@ -355,22 +359,23 @@ def _component_optimum(pairs: Sequence[_Candidate]) -> list[_Candidate]:
     """The one-to-one subset of ``pairs`` that the tie-broken weights favour.
 
     ``pairs`` are one component's candidates, in row-major order.  The
-    pair of rank ``r`` among ``n`` gets weight ``(w << n) + (1 << (n - 1 - r))``.
+    pair of rank ``r`` among ``n`` gets weight ``(w << n) + (1 << (n - 1 - r))``,
+    where ``w`` is its IoU in exact units (:func:`_exact`).
     Any set's bonuses sum to less than ``2**n``, so the total weight decides
     first; among equal totals, the set holding the smallest pair of the
     symmetric difference wins.  Distinct sets thus have distinct scores, and
     the unique optimum is the lexicographically smallest maximum-total set.
     """
-    rows = sorted({i for i, _, _, _ in pairs})
-    cols = sorted({j for _, j, _, _ in pairs})
+    rows = sorted({i for i, _, _ in pairs})
+    cols = sorted({j for _, j, _ in pairs})
     row_index = {r: k for k, r in enumerate(rows)}
     col_index = {c: k for k, c in enumerate(cols)}
     n = len(pairs)
     size = max(len(rows), len(cols))
     # Cells outside ``pairs`` cost 0, the same as leaving the row unmatched.
     cost = [[0] * size for _ in range(size)]
-    for rank, (i, j, _, w) in enumerate(pairs):
-        cost[row_index[i]][col_index[j]] = -((w << n) + (1 << (n - 1 - rank)))
+    for rank, (i, j, value) in enumerate(pairs):
+        cost[row_index[i]][col_index[j]] = -((_exact(value) << n) + (1 << (n - 1 - rank)))
     assigned = _solve_square(cost)
     return [pair for pair in pairs if assigned[row_index[pair[0]]] == col_index[pair[1]]]
 
@@ -391,19 +396,12 @@ def optimal_assignment(
     prefix of another, so the lexicographic order of two optima is
     settled by the smallest pair in their symmetric difference.
     """
-    candidates = [
-        (i, j, value, _exact(value))
-        for i, row in enumerate(matrix)
-        for j, value in enumerate(row)
-        if value > iou_threshold
-    ]
+    candidates = _admissible(matrix, iou_threshold)
     if not candidates:
         return []
     chosen = []
     for component in _components(candidates, len(matrix)):
-        if len(component) > 1:
-            component = _component_optimum(component)
-        chosen.extend((i, j, value) for i, j, value, _ in component)
+        chosen.extend(_component_optimum(component) if len(component) > 1 else component)
     chosen.sort()
     return chosen
 

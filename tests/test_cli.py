@@ -255,6 +255,14 @@ class TestEval:
             outputs.add(out.read_bytes())
         assert len(outputs) == 1
 
+    def test_an_ellipse_whose_area_passes_half_the_float_range_matches_its_box(self, capsys):
+        # Ellipse area 1.5e308, box area 1.9e308: twice the one and the other overflow.
+        gt, det = str(DATA_DIR / "huge_gt.txt"), str(DATA_DIR / "huge_det.txt")
+        assert main(["eval", "--gt", gt, "--det", det, "--mode", "continuous"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[2:] == ["0,0,inf", "0,0.785389,0.9"]
+        assert "tpr_continuous=0.785389 at fp_count=0" in captured.err
+
     def test_no_stray_files_next_to_output(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH, "--out", str(out)]) == 0

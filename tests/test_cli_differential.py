@@ -1,18 +1,31 @@
-"""``facemetrics eval`` end to end against the from-scratch re-match oracle.
+"""The ``facemetrics`` commands end to end against from-scratch references.
 
 A seeded generator writes a ground-truth and a detection file; every
-mode and matcher runs through ``cli.main`` in-process, and the curve file
-must be the bytes ``write_curve`` gives for the curve the oracle tallies
-on the same parsed files.
+``eval`` mode, matcher and format runs through ``cli.main`` in-process,
+and the curve file must be the bytes ``write_curve`` gives for the curve
+the re-match oracle tallies on the same parsed files.  The same holds for
+angles written in degrees and for ellipses far from the origin or past
+half the float range in area.  ``nms`` must keep the reference NMS's
+boxes, and ``proposal-recall`` must give a greedy-by-IoU recall counted
+from scratch.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from facemetrics.cli import main
-from facemetrics.io import build_dataset, parse_region_list, read_curve, write_curve
+from facemetrics.geometry import Ellipse, bounding_rect
+from facemetrics.io import (
+    build_dataset,
+    format_rect,
+    parse_region_list,
+    parse_scored_rects,
+    read_curve,
+    write_curve,
+)
 from facemetrics.metrics import MATCHERS, Curve, CurvePoint, XSemantics, YSemantics
 
 import oracles
@@ -40,23 +53,24 @@ MODES = {
 }
 
 
-def _region_line(region) -> str:
+def _region_line(region, angle_unit: str = "radians") -> str:
     """A ground truth's file line, every float written with ``repr`` so it parses back exactly."""
     if isinstance(region, tuple):
         return " ".join(repr(v) for v in region)
+    angle = math.degrees(region.angle) if angle_unit == "degrees" else region.angle
     return (
-        f"{region.semi_major!r} {region.semi_minor!r} {region.angle!r} "
+        f"{region.semi_major!r} {region.semi_minor!r} {angle!r} "
         f"{region.center_x!r} {region.center_y!r} 1"
     )
 
 
-def _write_dataset(rng: random.Random, tmp_path):
+def _write_dataset(rng: random.Random, tmp_path, angle_unit: str = "radians"):
     """Ground-truth and detection files, and the 1-based numbers of the detection region lines.
 
     Eight images: boxes and ellipses, a detection pool that ties scores
     (``0.0`` and ``-0.0`` among them) within and across images, one image
     without ground truths, one listed with no detections and one missing
-    from the detection file.
+    from the detection file.  Ellipse angles are written in ``angle_unit``.
     """
     scores = [0.0, -0.0, 0.5, rng.random(), rng.random()]
     gt_lines: list[str] = []
@@ -72,7 +86,7 @@ def _write_dataset(rng: random.Random, tmp_path):
                 else:
                     box = oracles.random_rect(rng)
                     gts.append((box.x_min, box.y_min, box.width, box.height))
-        gt_lines += [image_id, str(len(gts))] + [_region_line(g) for g in gts]
+        gt_lines += [image_id, str(len(gts))] + [_region_line(g, angle_unit) for g in gts]
         if idx == 4:
             continue  # absent from the detection file
         dets = []
@@ -110,16 +124,19 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_eval_writes_the_rematch_oracle_curve(seed, tmp_path, capsys):
-    gt_path, det_path, det_region_lines = _write_dataset(random.Random(seed), tmp_path)
+def _check_eval(capsys, tmp_path, gt_path, det_path, angle_unit="radians"):
+    """Every mode x matcher x format of ``eval`` against the oracle; returns the oracle's curves.
+
+    Each file must be ``write_curve`` of the oracle's curve, the JSON file
+    must read back as the CSV file does, and a second run must give the
+    same exit status, stdout, stderr and file.
+    """
     ds = build_dataset(
-        parse_region_list(gt_path.read_text()), parse_region_list(det_path.read_text())
+        parse_region_list(gt_path.read_text(), angle_unit=angle_unit),
+        parse_region_list(det_path.read_text(), angle_unit=angle_unit),
     )
-    scores = [d.score for entry in ds.images.values() for d in entry.detections]
-    zeros = {math.copysign(1.0, s) for s in scores if s == 0.0}
-    assert zeros == {1.0, -1.0} and len(set(scores)) < len(scores) - 1
     total = ds.total_gt_count
+    curves = {}
     for matcher in MATCHERS:
         thresholds, tallies = oracles.roc_rematch_tallies(ds, matcher, 0.5)
         for mode, (x_semantics, y_semantics, point) in MODES.items():
@@ -131,18 +148,36 @@ def test_eval_writes_the_rematch_oracle_curve(seed, tmp_path, capsys):
                 x_semantics=x_semantics,
                 y_semantics=y_semantics,
             )
-            out_path = tmp_path / f"{mode}-{matcher}.csv"
-            argv = [
-                "eval", "--gt", str(gt_path), "--det", str(det_path),
-                "--mode", mode, "--matcher", matcher, "--out", str(out_path),
-            ]
-            first = _run(capsys, argv)
-            text = out_path.read_text()
-            assert first[0] == 0, first
-            assert text == write_curve(want, "csv"), (mode, matcher)
-            assert 0.0 < want.points[-1].y < 1.0
-            assert write_curve(read_curve(text), "csv") == text
-            assert _run(capsys, argv) == first and out_path.read_text() == text
+            texts = {}
+            for fmt in ("csv", "json"):
+                out_path = tmp_path / f"{mode}-{matcher}.{fmt}"
+                argv = [
+                    "eval", "--gt", str(gt_path), "--det", str(det_path), "--angle-unit", angle_unit,
+                    "--mode", mode, "--matcher", matcher, "--format", fmt, "--out", str(out_path),
+                ]
+                first = _run(capsys, argv)
+                text = out_path.read_text()
+                assert first[0] == 0, first
+                assert text == write_curve(want, fmt, matcher=matcher), (mode, matcher, fmt)
+                assert _run(capsys, argv) == first and out_path.read_text() == text
+                texts[fmt] = text
+            assert write_curve(read_curve(texts["csv"]), "csv") == texts["csv"]
+            assert read_curve(texts["json"]) == read_curve(texts["csv"])
+            curves[mode, matcher] = want
+    return curves
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_eval_writes_the_rematch_oracle_curve(seed, tmp_path, capsys):
+    gt_path, det_path, det_region_lines = _write_dataset(random.Random(seed), tmp_path)
+    ds = build_dataset(
+        parse_region_list(gt_path.read_text()), parse_region_list(det_path.read_text())
+    )
+    scores = [d.score for entry in ds.images.values() for d in entry.detections]
+    zeros = {math.copysign(1.0, s) for s in scores if s == 0.0}
+    assert zeros == {1.0, -1.0} and len(set(scores)) < len(scores) - 1
+    for curve in _check_eval(capsys, tmp_path, gt_path, det_path).values():
+        assert 0.0 < curve.points[-1].y < 1.0
 
     # One malformed detection region, at a seeded line, is named by number.
     bad_line = random.Random(seed).choice(det_region_lines)
@@ -152,3 +187,107 @@ def test_eval_writes_the_rematch_oracle_curve(seed, tmp_path, capsys):
     code, out, err = _run(capsys, ["eval", "--gt", str(gt_path), "--det", str(det_path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"facemetrics: error: line {bad_line}: ")
+
+
+def test_eval_reads_ellipse_angles_in_degrees(tmp_path, capsys):
+    gt_path, det_path, _ = _write_dataset(random.Random(SEEDS[0]), tmp_path, "degrees")
+    fields = [line.split() for line in gt_path.read_text().splitlines()]
+    angles = [float(f[2]) for f in fields if len(f) == 6]
+    assert angles and max(angles) > math.pi  # the file holds degrees
+    _check_eval(capsys, tmp_path, gt_path, det_path, "degrees")
+
+
+# Ellipses whose shoelace products overflow about (0, 0), and one whose
+# area, 1.5e308, passes half the float range.
+FAR_ELLIPSES = (
+    Ellipse(1e160, -1e160, 1e146, 5e145, 0.3),
+    Ellipse(-1.5e160, 1e160, 3e146, 2e146, 2.0),
+    Ellipse(0.0, 0.0, 1.2e154, 4e153, 0.0),
+)
+
+
+def test_eval_matches_far_off_and_huge_ellipses(tmp_path, capsys):
+    """Each ellipse's bounding box matches it; the left half of each box, scored above, does not."""
+    gt_lines = ["far/0", str(len(FAR_ELLIPSES))] + [_region_line(e) for e in FAR_ELLIPSES]
+    det_lines = ["far/0", str(2 * len(FAR_ELLIPSES))]
+    for k, ellipse in enumerate(FAR_ELLIPSES):
+        box = bounding_rect(ellipse)
+        corner = f"{box.x_min!r} {box.y_min!r}"
+        det_lines.append(f"{corner} {box.width!r} {box.height!r} {0.5 + k / 8!r}")
+        det_lines.append(f"{corner} {box.width / 2!r} {box.height!r} 0.9")
+    gt_path = tmp_path / "gt.txt"
+    det_path = tmp_path / "det.txt"
+    gt_path.write_text("\n".join(gt_lines) + "\n")
+    det_path.write_text("\n".join(det_lines) + "\n")
+    curves = _check_eval(capsys, tmp_path, gt_path, det_path)
+    for matcher in MATCHERS:
+        last = curves["discrete", matcher].points[-1]
+        assert (last.x, last.y) == (3.0, 1.0), matcher
+        assert curves["continuous", matcher].points[-1].y > 0.5, matcher
+
+
+@pytest.mark.parametrize("iou", ["0", "0.3", "0.5"])
+def test_nms_keeps_the_reference_boxes(iou, tmp_path, capsys):
+    """Score ties (signed zeros among them), zero-area boxes and a blank line."""
+    rng = random.Random(SEEDS[1])
+    lines = []
+    for k in range(60):
+        x, y = rng.randrange(60), rng.randrange(60)
+        w = 0 if k % 11 == 0 else rng.randrange(1, 25)
+        h = 0 if k % 13 == 0 else rng.randrange(1, 25)
+        score = rng.choice((0.9, 0.5, 0.0, -0.0, round(rng.random(), 3)))
+        lines.append(f"{x} {y} {w} {h} {score!r}")
+    lines.insert(30, "")
+    path = tmp_path / "scored.txt"
+    path.write_text("\n".join(lines) + "\n")
+    regions = parse_scored_rects(path.read_text())
+    boxes = np.array([[r.rect.x_min, r.rect.y_min, r.rect.x_max, r.rect.y_max] for r in regions])
+    kept = oracles.reference_nms_indices(boxes, np.array([r.score for r in regions]), float(iou))
+    assert 0 < len(kept) < len(regions)
+    code, out, err = _run(capsys, ["nms", "--in", str(path), "--iou", iou])
+    assert (code, err) == (0, "")
+    assert out == "".join(format_rect(regions[i].rect, regions[i].score) + "\n" for i in kept)
+
+
+def _greedy_by_iou_recall(ds, n, iou_thresholds):
+    """Detection rate of each image's ``n`` best-scored boxes, greedy by IoU, from scratch."""
+    matched = [0] * len(iou_thresholds)
+    for entry in ds.images.values():
+        dets = entry.detections
+        top = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))[:n]
+        matrix = oracles.reference_iou_matrix([dets[i] for i in top], entry.ground_truths)
+        candidates = sorted(
+            (-iou, i, j) for i, row in enumerate(matrix) for j, iou in enumerate(row) if iou > 0.0
+        )
+        used_rows, used_cols, ious = set(), set(), []
+        for neg, i, j in candidates:
+            if i not in used_rows and j not in used_cols:
+                used_rows.add(i)
+                used_cols.add(j)
+                ious.append(-neg)
+        for k, t in enumerate(iou_thresholds):
+            matched[k] += sum(1 for iou in ious if iou > t)
+    return Curve(
+        points=tuple(
+            CurvePoint(t, m / ds.total_gt_count, t) for t, m in zip(iou_thresholds, matched)
+        ),
+        x_semantics=XSemantics.IOU_THRESHOLD,
+        y_semantics=YSemantics.DETECTION_RATE,
+    )
+
+
+def test_proposal_recall_equals_a_from_scratch_greedy_by_iou_recall(tmp_path, capsys):
+    gt_path, det_path, _ = _write_dataset(random.Random(SEEDS[1]), tmp_path)
+    ds = build_dataset(
+        parse_region_list(gt_path.read_text()), parse_region_list(det_path.read_text())
+    )
+    prefix = tmp_path / "recall_"
+    argv = [
+        "proposal-recall", "--gt", str(gt_path), "--det", str(det_path),
+        "--top-n", "1,3", "--iou-thresholds", "0.3,0.5,0.7", "--out", str(prefix),
+    ]
+    assert _run(capsys, argv) == (0, "", "")
+    texts = {n: (tmp_path / f"recall_{n}.csv").read_text() for n in (1, 3)}
+    for n, text in texts.items():
+        assert text == write_curve(_greedy_by_iou_recall(ds, n, (0.3, 0.5, 0.7)), "csv"), n
+    assert texts[1] != texts[3]

@@ -821,6 +821,32 @@ def test_an_ellipse_whose_shoelace_products_overflow_gets_a_finite_iou():
         assert curve.points[-1].y == 1.0 and curve.points[-1].x == 0.0
 
 
+def test_an_ellipse_whose_area_passes_half_the_float_range_gets_its_scaled_copys_iou():
+    # Each ellipse's area, 1.5e308, is finite, but the shoelace sum of its
+    # polygon (twice the area) and its bounding box's area are not.  Scaling
+    # by 2**-512 is exact for every vertex, crossing and area here, so the
+    # copy's IoU is what unbounded exponents give.
+    def scaled(v):
+        return math.ldexp(v, -512)
+
+    for ellipse in (
+        Ellipse(0.0, 0.0, 1.2e154, 4e153, 0.0),
+        Ellipse(3e152, -2e152, 1.2e154, 4e153, 0.3),
+    ):
+        small = Ellipse(
+            scaled(ellipse.center_x), scaled(ellipse.center_y),
+            scaled(ellipse.semi_major), scaled(ellipse.semi_minor), ellipse.angle,
+        )
+        assert ellipse_to_polygon(ellipse).area == math.ldexp(ellipse_to_polygon(small).area, 1024)
+        box = bounding_rect(ellipse)
+        left = Rect(box.x_min, box.y_min, 0.5 * (box.x_min + box.x_max), box.y_max)
+        for rect in (box, left):
+            small_rect = Rect(*map(scaled, (rect.x_min, rect.y_min, rect.x_max, rect.y_max)))
+            want = iou_ellipse_rect(small, small_rect)
+            assert repr(iou_ellipse_rect(ellipse, rect)) == repr(want), (ellipse, rect)
+            assert abs(want - oracles.exact_iou_ellipse_rect(small, small_rect)) <= 1.3e-5
+
+
 def test_iou_matrix_polygon_reuse_matches_region_iou():
     rng = random.Random(32)
     for _ in range(3):

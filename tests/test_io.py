@@ -428,6 +428,19 @@ class TestCurveSerialization:
             with pytest.raises(ParseError, match=reason) as excinfo:
                 read_curve(json.dumps(edited, indent=2, sort_keys=True))
             assert excinfo.value.line == 15, reason
+        # An integer past the float range reads as inf, 5,001 digits (past
+        # int()'s digit limit) included, and true or false is no number.
+        for x, y, reason in (
+            ("1" + "0" * 400, "0.5", "finite and non-negative"),
+            ("1.0", "1" + "0" * 5000, "y values"),
+            ("true", "0.5", "non-numeric point"),
+            ("1.0", "false", "non-numeric point"),
+        ):
+            edited = dict(payload, points=payload["points"][:2] + [["X", "Y", 0.8]])
+            text = json.dumps(edited, indent=2, sort_keys=True)
+            with pytest.raises(ParseError, match=reason) as excinfo:
+                read_curve(text.replace('"X"', x).replace('"Y"', y))
+            assert excinfo.value.line == 15, reason
         # A point that is no list gets the line of the point list's '['.
         edited = dict(payload, points=payload["points"][:2] + [7])
         with pytest.raises(ParseError, match="3-element list") as excinfo:
