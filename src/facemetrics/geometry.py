@@ -22,7 +22,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # only for annotations; Detection lives in matching
     from .matching import Detection
@@ -231,7 +231,12 @@ def iou_rect(a: Rect, b: Rect) -> float:
     """Intersection-over-union of two rectangles, in [0, 1].
 
     Returns 0 when the union has zero area, so degenerate rectangles
-    never match anything.
+    never match anything.  Where a side, an area or the union passes the
+    float range (boxes whose sides near 1e154 or whose corners near
+    1e308), the IoU is taken on both boxes scaled down by the power of
+    two of ``_down_shift``: that scaling is exact wherever no value
+    drops below the normal range, so the IoU is the one unbounded
+    exponents would give.
     """
     ax0, ay0, ax1, ay1 = a.x_min, a.y_min, a.x_max, a.y_max
     bx0, by0, bx1, by1 = b.x_min, b.y_min, b.x_max, b.y_max
@@ -241,9 +246,16 @@ def iou_rect(a: Rect, b: Rect) -> float:
         return 0.0
     inter = inter_w * inter_h
     union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    if 0.0 < union < _INF:
+        return inter / union
     if union <= 0:
         return 0.0
-    return inter / union
+    # An infinite or NaN union: some corner is past 2**510, so the shift
+    # is negative and the scaled union finite.
+    corners = (ax0, ay0, ax1, ay1, bx0, by0, bx1, by1)
+    shift = _down_shift(corners)
+    scaled = [math.ldexp(v, shift) for v in corners]
+    return iou_rect(Rect(*scaled[:4]), Rect(*scaled[4:]))
 
 
 def ellipse_to_polygon(ellipse: Ellipse) -> Polygon:
@@ -573,10 +585,15 @@ def _polygon_rect_iou(polygon: Polygon, ellipse_area: float, rect: Rect, rect_ar
     return min(max(iou, 0.0), 1.0)
 
 
-# The scaled copy of ``_scaled_down_iou`` keeps every coordinate below
-# 2**_SCALED_EXPONENT, so every product, shoelace sum and union stays far
-# inside the float range.
+# The scaled copies of ``iou_rect`` and ``_scaled_down_iou`` keep every
+# coordinate below 2**_SCALED_EXPONENT, so every product, shoelace sum and
+# union stays far inside the float range.
 _SCALED_EXPONENT = 500
+
+
+def _down_shift(values: Iterable[float]) -> int:
+    """Exponent ``e`` with ``2**e * max(map(abs, values))`` just below ``2**_SCALED_EXPONENT``."""
+    return _SCALED_EXPONENT - math.frexp(max(map(abs, values)))[1]
 
 
 def _scaled_down_iou(polygon: Polygon, ellipse_area: float, rect: Rect) -> float:
@@ -597,7 +614,7 @@ def _scaled_down_iou(polygon: Polygon, ellipse_area: float, rect: Rect) -> float
     """
     xs, ys = (axis.coords for axis in polygon._arcs.axes)
     corners = (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
-    shift = _SCALED_EXPONENT - math.frexp(max(map(abs, (*xs, *ys, *corners))))[1]
+    shift = _down_shift((*xs, *ys, *corners))
     scaled = Polygon([(math.ldexp(x, shift), math.ldexp(y, shift)) for x, y in zip(xs, ys)])
     box = Rect(*(math.ldexp(v, shift) for v in corners))
     return _polygon_rect_iou(scaled, math.ldexp(ellipse_area, 2 * shift), box, area(box))
@@ -697,9 +714,7 @@ def nms(dets: Sequence["Detection"], iou_threshold: float) -> list["Detection"]:
             ih = (y1 if y1 < v1 else v1) - (y0 if y0 > v0 else v0)
             if ih <= lh or ih <= kh or a <= limit * ka or ka <= la:
                 continue
-            # ``not <=`` so that a NaN IoU (overflowing areas) suppresses,
-            # as the plain comparison against every kept box does.
-            if not iou_rect(box, boxes[j]) <= iou_threshold:
+            if iou_rect(box, boxes[j]) > iou_threshold:
                 break
         else:
             kept.append(i)

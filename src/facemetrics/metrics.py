@@ -353,29 +353,6 @@ def normalized_fp_roc(
     return _roc_curve(ds, matcher, XSemantics.FP_PER_IMAGE, YSemantics.TPR_DISCRETE, iou_threshold)
 
 
-def _image_recall_counts(
-    entry: ImageEntries,
-    n_values: Sequence[int],
-    iou_thresholds: Sequence[float],
-) -> list[list[int]]:
-    """Matched-ground-truth counts per (N, IoU threshold) for one image.
-
-    Proposals are matched once, greedily by descending IoU; a single
-    pass then counts the pairs above each threshold.  Because the
-    candidates above any threshold form a prefix of the IoU-sorted
-    candidate list, this equals re-matching at every threshold.
-    """
-    dets, gts = entry
-    top_rows = _score_order([d.score for d in dets])[: max(n_values)]
-    matrix = iou_matrix([dets[i] for i in top_rows], gts)
-    counts = []
-    for n in n_values:
-        pairs = greedy_assignment_by_iou(matrix[:n], 0.0)
-        ious = [iou for _, _, iou in pairs]
-        counts.append([sum(1 for iou in ious if iou > t) for t in iou_thresholds])
-    return counts
-
-
 def proposal_recall(
     ds: EvalDataset,
     n_values: Sequence[int],
@@ -387,27 +364,38 @@ def proposal_recall(
     each curve's x axis is the IoU threshold.  The denominator is every
     ground truth in the dataset, including those on images without any
     proposal.
+
+    Each image's top-N proposals are matched once per budget, greedily
+    by descending IoU, and each pair adds one to the running count of
+    every threshold below its IoU.  Because the candidates above any
+    threshold form a prefix of the IoU-sorted candidate list, this
+    equals re-matching at every threshold.
     """
     _check_dataset(ds)
     _check_recall_grid(n_values, iou_thresholds)
     thresholds = sorted(iou_thresholds)
-    per_image = [
-        _image_recall_counts(entry, n_values, thresholds) for entry in ds.images.values()
-    ]
-    curves = []
-    for n_idx in range(len(n_values)):
-        points = []
-        for t_idx, t in enumerate(thresholds):
-            matched = sum(counts[n_idx][t_idx] for counts in per_image)
-            points.append(CurvePoint(x=t, y=matched / ds.total_gt_count, threshold=t))
-        curves.append(
-            Curve(
-                points=tuple(points),
-                x_semantics=XSemantics.IOU_THRESHOLD,
-                y_semantics=YSemantics.DETECTION_RATE,
-            )
+    top = max(n_values)
+    matched = [[0] * len(thresholds) for _ in n_values]
+    for dets, gts in ds.images.values():
+        top_rows = _score_order([d.score for d in dets])[:top]
+        matrix = iou_matrix([dets[i] for i in top_rows], gts)
+        for counts, n in zip(matched, n_values):
+            for _, _, iou in greedy_assignment_by_iou(matrix[:n], 0.0):
+                for k, t in enumerate(thresholds):
+                    if iou <= t:
+                        break
+                    counts[k] += 1
+    return [
+        Curve(
+            points=tuple(
+                CurvePoint(x=t, y=count / ds.total_gt_count, threshold=t)
+                for t, count in zip(thresholds, counts)
+            ),
+            x_semantics=XSemantics.IOU_THRESHOLD,
+            y_semantics=YSemantics.DETECTION_RATE,
         )
-    return curves
+        for counts in matched
+    ]
 
 
 def curve_query(curve: Curve, x: float) -> float:

@@ -1,16 +1,18 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately written from first principles rather
-than by calling back into the code under test: Monte Carlo estimators
-for areas and IoU, the vertex-by-vertex Sutherland-Hodgman clip and
+than by calling back into the code under test: a Monte Carlo estimator
+of ellipse/rect IoU, the vertex-by-vertex Sutherland-Hodgman clip and
 shoelace, the ellipse IoU built from those two, the exact area of an
-ellipse inside a rect, the dense IoU matrix, an exhaustive assignment
-search, a vectorized NMS, and a re-matching ROC tally that recomputes
-every operating point from scratch instead of sweeping incrementally.
+ellipse inside a rect, an exact rational rectangle IoU, the dense IoU
+matrix, an exhaustive assignment search, a vectorized NMS, and a
+re-matching ROC tally that recomputes every operating point from
+scratch instead of sweeping incrementally.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,19 +61,6 @@ def _overlap_ratio(in_a, in_b, tmp) -> float:
     if union == 0:
         return 0.0
     return np.count_nonzero(np.logical_and(in_a, in_b, out=tmp)) / union
-
-
-def mc_iou_rects(a: Rect, b: Rect, samples: np.ndarray, work=None) -> float:
-    """IoU of two rectangles estimated by sampling their union's bounding box."""
-    px, py, _, _, _, in_a, in_b, tmp = work or mc_work(samples.shape[1])
-    x0 = min(a.x_min, b.x_min)
-    y0 = min(a.y_min, b.y_min)
-    x1 = max(a.x_max, b.x_max)
-    y1 = max(a.y_max, b.y_max)
-    _sample_box(samples, x0, y0, x1, y1, px, py)
-    _points_in_box(px, py, a.x_min, a.y_min, a.x_max, a.y_max, in_a, tmp)
-    _points_in_box(px, py, b.x_min, b.y_min, b.x_max, b.y_max, in_b, tmp)
-    return _overlap_ratio(in_a, in_b, tmp)
 
 
 def _ellipse_bbox(e: Ellipse) -> tuple[float, float, float, float]:
@@ -241,6 +230,16 @@ def exact_overlap_ellipse_rect(ellipse: Ellipse, rect: Rect) -> float:
     return a * b * sum(_disk_triangle_area(corners[i - 1], corners[i]) for i in range(4))
 
 
+def exact_iou_rects(a: Rect, b: Rect) -> float:
+    """Rectangle IoU in exact rational arithmetic on the float corners, rounded once."""
+    ax0, ay0, ax1, ay1, bx0, by0, bx1, by1 = (
+        Fraction(v) for v in (a.x_min, a.y_min, a.x_max, a.y_max, b.x_min, b.y_min, b.x_max, b.y_max)
+    )
+    inter = max(min(ax1, bx1) - max(ax0, bx0), 0) * max(min(ay1, by1) - max(ay0, by0), 0)
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return float(inter / union) if union > 0 else 0.0
+
+
 def exact_iou_ellipse_rect(ellipse: Ellipse, rect: Rect) -> float:
     """Ellipse/rect IoU from the exact overlap and the exact ellipse area."""
     rect_area = (rect.x_max - rect.x_min) * (rect.y_max - rect.y_min)
@@ -396,9 +395,10 @@ def roc_rematch_tallies(ds: EvalDataset, matcher: str, iou_threshold: float):
     detections of every image are re-matched in full, greedily by
     :func:`reference_greedy_pairs` or optimally by
     :func:`exhaustive_best_assignment`, on the IoUs of
-    :func:`reference_iou_matrix` (whose cells the Monte Carlo estimators
-    above check).  IoU totals use one fsum per image and one across images,
-    mirroring how any correct aggregation would group them.
+    :func:`reference_iou_matrix` (whose cells ``test_geometry_oracle``
+    checks against exact IoUs).  IoU totals use one fsum per image and
+    one across images, mirroring how any correct aggregation would group
+    them.
     """
     scores = sorted(
         {d.score for entry in ds.images.values() for d in entry.detections}, reverse=True

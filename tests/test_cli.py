@@ -263,6 +263,14 @@ class TestEval:
         assert captured.out.splitlines()[2:] == ["0,0,inf", "0,0.785389,0.9"]
         assert "tpr_continuous=0.785389 at fp_count=0" in captured.err
 
+    def test_a_box_whose_areas_sum_past_the_float_range_matches_itself(self, tmp_path, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("img\n1\n0 0 1e154 1e154\n")
+        det = tmp_path / "det.txt"
+        det.write_text("img\n1\n0 0 1e154 1e154 0.9\n")
+        assert main(["eval", "--gt", str(gt), "--det", str(det)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == ["0,0,inf", "0,1,0.9"]
+
     def test_no_stray_files_next_to_output(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert main(["eval", "--gt", GT_PATH, "--det", DET_PATH, "--out", str(out)]) == 0

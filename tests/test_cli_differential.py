@@ -4,12 +4,15 @@ A seeded generator writes a ground-truth and a detection file; every
 ``eval`` mode, matcher and format runs through ``cli.main`` in-process,
 and the curve file must be the bytes ``write_curve`` gives for the curve
 the re-match oracle tallies on the same parsed files.  The same holds for
-angles written in degrees and for ellipses far from the origin or past
-half the float range in area.  ``nms`` must keep the reference NMS's
-boxes, and ``proposal-recall`` must give a greedy-by-IoU recall counted
-from scratch.
+angles written in degrees, for ellipses far from the origin or past
+half the float range in area, and for boxes whose areas overflow.  A
+malformed line of either file, of each kind, makes ``eval`` exit 1 with
+empty stdout and an error naming that line.  ``nms`` must keep the
+reference NMS's boxes, and ``proposal-recall`` must give a greedy-by-IoU
+recall counted from scratch.
 """
 
+import functools
 import math
 import random
 
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from facemetrics.cli import main
-from facemetrics.geometry import Ellipse, bounding_rect
+from facemetrics.geometry import Ellipse, Rect, area, bounding_rect, iou_rect
 from facemetrics.io import (
     build_dataset,
     format_rect,
@@ -197,6 +200,108 @@ def test_eval_reads_ellipse_angles_in_degrees(tmp_path, capsys):
     _check_eval(capsys, tmp_path, gt_path, det_path, "degrees")
 
 
+def _records(lines):
+    """Each record's id line, count line and region lines, as indices into a file without blanks."""
+    records, pos = [], 0
+    while pos < len(lines):
+        count = int(lines[pos + 1])
+        records.append((pos, pos + 1, range(pos + 2, pos + 2 + count)))
+        pos += 2 + count
+    return records
+
+
+def _region_lines(lines):
+    return [k for _, _, regions in _records(lines) for k in regions]
+
+
+def _non_numeric_field(rng, files):
+    name = rng.choice(("gt", "det"))
+    k = rng.choice(_region_lines(files[name]))
+    tokens = files[name][k].split()
+    tokens[rng.randrange(len(tokens))] = rng.choice(("x", "1,5", "0x10"))
+    files[name][k] = " ".join(tokens)
+    return name, k
+
+
+def _field_count(fields, rng, files):
+    name = rng.choice(("gt", "det"))
+    k = rng.choice(_region_lines(files[name]))
+    files[name][k] = " ".join((files[name][k].split() * 2)[:fields])
+    return name, k
+
+
+def _region_count(count, rng, files):
+    name = rng.choice(("gt", "det"))
+    _, k, _ = rng.choice(_records(files[name]))
+    files[name][k] = count
+    return name, k
+
+
+def _fewer_regions_than_declared(rng, files):
+    name = rng.choice(("gt", "det"))
+    _, k, regions = rng.choice(_records(files[name]))
+    files[name][k] = str(len(regions) + 1)
+    files[name].insert(regions.stop, "")
+    return name, regions.stop
+
+
+def _repeated_image_id(rng, files):
+    name = rng.choice(("gt", "det"))
+    records = _records(files[name])
+    k = rng.randrange(1, len(records))
+    files[name][records[k][0]] = files[name][records[rng.randrange(k)][0]]
+    return name, records[k][0]
+
+
+def _ellipse_detection(rng, files):
+    k = rng.choice(_region_lines(files["det"]))
+    files["det"][k] = _region_line(oracles.random_ellipse(rng))
+    return "det", k
+
+
+def _unscored_detection(rng, files):
+    k = rng.choice(_region_lines(files["det"]))
+    files["det"][k] = " ".join(files["det"][k].split()[:4])
+    return "det", k
+
+
+def _detections_of_an_unannotated_image(rng, files):
+    k, _, _ = rng.choice(_records(files["det"]))
+    files["det"][k] = f"ghost/{k}"
+    return "det", k
+
+
+# Each one breaks one seeded line of the ground-truth or detection file
+# and returns the file and the index of the line the error must name.
+MALFORMED = {
+    "non-numeric-field": _non_numeric_field,
+    "3-field-region": functools.partial(_field_count, 3),
+    "7-field-region": functools.partial(_field_count, 7),
+    "missing-count": functools.partial(_region_count, ""),
+    "negative-count": functools.partial(_region_count, "-1"),
+    "fewer-regions-than-declared": _fewer_regions_than_declared,
+    "repeated-image-id": _repeated_image_id,
+    "ellipse-detection": _ellipse_detection,
+    "unscored-detection": _unscored_detection,
+    "unannotated-detection-image": _detections_of_an_unannotated_image,
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED)
+def test_eval_names_the_line_of_each_malformed_input(malform, seed, tmp_path, capsys):
+    gt_path, det_path, _ = _write_dataset(random.Random(seed), tmp_path)
+    files = {"gt": gt_path.read_text().splitlines(), "det": det_path.read_text().splitlines()}
+    name, k = malform(random.Random(seed), files)
+    for lines, path in ((files["gt"], gt_path), (files["det"], det_path)):
+        path.write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--gt", str(gt_path), "--det", str(det_path)]
+    first = _run(capsys, argv)
+    assert first[:2] == (1, ""), (name, k, first)
+    assert first[2].startswith(f"facemetrics: error: line {k + 1}: "), (name, k, first)
+    assert _run(capsys, argv) == first
+
+
 # Ellipses whose shoelace products overflow about (0, 0), and one whose
 # area, 1.5e308, passes half the float range.
 FAR_ELLIPSES = (
@@ -224,6 +329,44 @@ def test_eval_matches_far_off_and_huge_ellipses(tmp_path, capsys):
         last = curves["discrete", matcher].points[-1]
         assert (last.x, last.y) == (3.0, 1.0), matcher
         assert curves["continuous", matcher].points[-1].y > 0.5, matcher
+
+
+def test_eval_matches_boxes_whose_areas_overflow(tmp_path, capsys):
+    """Boxes near 1e154 on a side, whose two areas sum past the float range, and larger ones.
+
+    A file gives a box as ``x y w h`` with a finite ``w`` and ``h``, so
+    its sides stay finite, but from about 1.3e154 on a side its own area
+    overflows.  Each ground truth has a shifted copy among the detections,
+    and a random box of the same scale joins them.
+    """
+    rng = random.Random(SEEDS[1])
+    gt_lines, det_lines, pairs = [], [], []
+    for idx, scale in enumerate((1e152, 1e153, 1e200, 1e305)):
+        image_id = f"huge/{idx}"
+        gts = [oracles.random_rect(rng) for _ in range(rng.randint(1, 3))]
+        dets = [oracles._shifted(g, rng, 3.0, 0.0) for g in gts] + [oracles.random_rect(rng)]
+        boxes = [
+            Rect(*(scale * v for v in (r.x_min, r.y_min, r.x_max, r.y_max))) for r in gts + dets
+        ]
+        lines = [f"{b.x_min!r} {b.y_min!r} {b.width!r} {b.height!r}" for b in boxes]
+        scores = [rng.choice((0.5, 0.9, rng.random())) for _ in dets]
+        gt_lines += [image_id, str(len(gts))] + lines[: len(gts)]
+        det_lines += [image_id, str(len(dets))]
+        det_lines += [f"{line} {score!r}" for line, score in zip(lines[len(gts):], scores)]
+        pairs += [(g, d) for g in boxes[: len(gts)] for d in boxes[len(gts):]]
+    gt_path = tmp_path / "gt.txt"
+    det_path = tmp_path / "det.txt"
+    gt_path.write_text("\n".join(gt_lines) + "\n")
+    det_path.write_text("\n".join(det_lines) + "\n")
+    ds = build_dataset(
+        parse_region_list(gt_path.read_text()), parse_region_list(det_path.read_text())
+    )
+    boxes = [g.region for entry in ds.images.values() for g in entry.ground_truths]
+    assert any(math.isinf(area(b)) for b in boxes)
+    assert any(iou_rect(g, d) > 0.5 and math.isinf(area(g) + area(d)) for g, d in pairs)
+    curves = _check_eval(capsys, tmp_path, gt_path, det_path)
+    for matcher in MATCHERS:
+        assert curves["discrete", matcher].points[-1].y > 0.5, matcher
 
 
 @pytest.mark.parametrize("iou", ["0", "0.3", "0.5"])

@@ -213,6 +213,25 @@ def test_iou_rect_symmetry_and_bounds():
     assert iou_rect(a, a) == 1.0
 
 
+def test_iou_rect_of_boxes_whose_sides_or_areas_overflow_is_its_scaled_copys():
+    # Two areas of 1e308 sum past the float range, and a width of 2e308 is
+    # itself inf.  Scaling by a power of two is exact here, so the IoU is
+    # the one of the copy scaled by 2**-512, bit for bit.
+    def scaled(r):
+        return Rect(*(math.ldexp(v, -512) for v in (r.x_min, r.y_min, r.x_max, r.y_max)))
+
+    square = Rect(0.0, 0.0, 1e154, 1e154)
+    wide = Rect(-1e308, 0.0, 1e308, 1.0)
+    assert iou_rect(square, square) == 1.0
+    assert iou_rect(wide, wide) == 1.0
+    half = Rect(0.0, 0.0, 0.5e154, 1e154)
+    shifted = Rect(0.1e154, 0.0, 1.1e154, 1e154)
+    for a, b in ((square, half), (square, shifted), (wide, Rect(-1e308, 0.0, 0.0, 1.0))):
+        want = iou_rect(scaled(a), scaled(b))
+        assert 0.0 < want < 1.0
+        assert iou_rect(a, b).hex() == want.hex() == iou_rect(b, a).hex()
+
+
 def test_polygon_validation_and_area():
     with pytest.raises(ValueError):
         Polygon(((0.0, 0.0), (1.0, 0.0)))
@@ -1146,8 +1165,18 @@ def test_nms_matches_reference_on_a_decoded_proposal_pool():
         assert 0 < len(kept) < len(dets)
 
 
+def test_nms_suppresses_a_huge_box_by_its_finite_iou():
+    # IoU 0.818: the two areas of 1e308 sum past the float range.
+    dets = [
+        Detection(region=Rect(0.0, 0.0, 1e154, 1e154), score=0.9, image_id="img"),
+        Detection(region=Rect(0.1e154, 0.0, 1.1e154, 1e154), score=0.8, image_id="img"),
+    ]
+    assert nms(dets, 0.5) == dets[:1]
+    assert nms(dets, 0.9) == dets
+
+
 def test_nms_outside_the_pruning_range_matches_the_plain_loop():
-    # Sides that overflow the area (NaN IoU, which suppresses), sides
+    # Sides that overflow the area (IoU taken on a scaled copy), sides
     # below 1e-125 and thresholds below 1e-50 turn the IoU-bound pruning off.
     rng = random.Random(44)
     for trial in range(60):

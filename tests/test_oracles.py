@@ -24,17 +24,6 @@ def _ratio(in_a, in_b):
     return np.count_nonzero(in_a & in_b) / union
 
 
-def _allocating_iou_rects(a, b, samples):
-    x0, y0 = min(a.x_min, b.x_min), min(a.y_min, b.y_min)
-    x1, y1 = max(a.x_max, b.x_max), max(a.y_max, b.y_max)
-    px = x0 + (x1 - x0) * samples[0]
-    py = y0 + (y1 - y0) * samples[1]
-    return _ratio(
-        _in_box(px, py, a.x_min, a.y_min, a.x_max, a.y_max),
-        _in_box(px, py, b.x_min, b.y_min, b.x_max, b.y_max),
-    )
-
-
 def _allocating_iou_ellipse_rect(e, r, samples):
     ex0, ey0, ex1, ey1 = oracles._ellipse_bbox(e)
     x0, y0 = min(ex0, r.x_min), min(ey0, r.y_min)
@@ -56,10 +45,6 @@ def test_buffered_monte_carlo_estimates_are_unchanged():
         samples = oracles.unit_samples(n, n)
         work = oracles.mc_work(n)
         for _ in range(30):
-            a = oracles.random_rect(rng, span=60.0)
-            b = oracles._shifted(a, rng, 10.0, 0.0) if rng.random() < 0.7 else oracles.random_rect(rng)
-            assert oracles.mc_iou_rects(a, b, samples, work) == _allocating_iou_rects(a, b, samples)
-            assert oracles.mc_iou_rects(a, b, samples) == _allocating_iou_rects(a, b, samples)
             e = oracles.random_ellipse(rng)
             x0, y0, x1, y1 = oracles._ellipse_bbox(e)
             r = oracles._shifted(Rect(x0, y0, x1, y1), rng, 8.0, 0.0)
@@ -102,5 +87,5 @@ def test_monte_carlo_ellipse_iou_agrees_with_the_exact_oracle():
         r = oracles._shifted(Rect(x0, y0, x1, y1), rng, 8.0, 0.0)
         exact = oracles.exact_iou_ellipse_rect(e, r)
         worst = max(worst, abs(oracles.mc_iou_ellipse_rect(e, r, samples, work) - exact))
-    # The bound of ``test_geometry_oracle``'s Monte Carlo ellipse cells.
+    # Several times the standard error of a 10**6-sample estimate (under 1e-3).
     assert worst < 5e-3, f"worst Monte Carlo deviation {worst:.2e}"
