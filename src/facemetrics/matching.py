@@ -28,8 +28,9 @@ arithmetic, on each IoU as an integer count of ``2**-1074``
 totals are recognized reliably.  The tie-break is folded into the
 integer weights, so each connected cluster of admissible pairs
 (detections and ground truths linked through IoUs above the threshold)
-takes one Hungarian solve, cubic in the cluster's size; a cluster of
-one pair takes none.
+takes one Hungarian solve on its own rows and columns, unpadded and
+transposed when it has more rows than columns, at ``r**2 * c`` for
+``r <= c`` of them; a cluster of one pair takes none.
 """
 
 from __future__ import annotations
@@ -262,28 +263,29 @@ def _exact(value: float) -> int:
     return numerator * (_EXACT_DENOMINATOR // denominator)
 
 
-def _solve_square(cost: list[list[int]]) -> list[int]:
-    """Minimum-cost perfect assignment on a square matrix (Hungarian).
+def _solve(cost: list[list[int]]) -> list[int]:
+    """Minimum-cost assignment of every row of an ``n x m`` matrix, ``n <= m`` (Hungarian).
 
     Shortest-augmenting-path formulation with potentials (Kuhn 1955;
-    Jonker & Volgenant 1987); all arithmetic stays in exact integers, of
-    any width.  Each augmentation's first scan, from the virtual column 0,
-    reaches every column, so the slacks start from that scan instead of
-    from an infinite float.  Returns the assigned column per row.
+    Jonker & Volgenant 1987), in ``O(n**2 * m)``; all arithmetic stays in
+    exact integers, of any width.  Each augmentation's first scan, from
+    the virtual column 0, reaches every column, so the slacks start from
+    that scan instead of from an infinite float.  Returns the assigned
+    column per row.
     """
-    n = len(cost)
+    n, m = len(cost), len(cost[0])
     u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: 1-based row matched to column j, 0 = free
+    v = [0] * (m + 1)
+    p = [0] * (m + 1)  # p[j]: 1-based row matched to column j, 0 = free
     for i in range(1, n + 1):
         p[0] = i
         row = cost[i - 1]
-        minv = [0] + [row[j - 1] - u[i] - v[j] for j in range(1, n + 1)]
-        way = [0] * (n + 1)
-        used = [True] + [False] * n
+        minv = [0] + [row[j - 1] - u[i] - v[j] for j in range(1, m + 1)]
+        way = [0] * (m + 1)
+        used = [True] + [False] * m
         while True:
-            delta, j0 = min((minv[j], j) for j in range(1, n + 1) if not used[j])
-            for j in range(n + 1):
+            delta, j0 = min((minv[j], j) for j in range(1, m + 1) if not used[j])
+            for j in range(m + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -294,7 +296,7 @@ def _solve_square(cost: list[list[int]]) -> list[int]:
             used[j0] = True
             i0 = p[j0]
             row = cost[i0 - 1]
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if not used[j]:
                     cur = row[j - 1] - u[i0] - v[j]
                     if cur < minv[j]:
@@ -305,7 +307,7 @@ def _solve_square(cost: list[list[int]]) -> list[int]:
             p[j0] = p[j1]
             j0 = j1
     columns = [0] * n
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         if p[j]:
             columns[p[j] - 1] = j - 1
     return columns
@@ -315,43 +317,25 @@ def _solve_square(cost: list[list[int]]) -> list[int]:
 _Candidate = tuple[int, int, float]
 
 
-class _UnionFind:
-    """Disjoint sets of the nodes ``0 .. size - 1``, with path halving."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, size: int) -> None:
-        self.root = list(range(size))
-
-    def find(self, node: int) -> int:
-        root = self.root
-        while root[node] != node:
-            root[node] = root[root[node]]
-            node = root[node]
-        return node
-
-    def union(self, a: int, b: int) -> tuple[int, int]:
-        """Joins the sets of ``a`` and ``b``: (the joined set's root, the root it absorbed).
-
-        The two are equal when ``a`` and ``b`` were already in one set.
-        """
-        a, b = self.find(a), self.find(b)
-        self.root[a] = b
-        return b, a
-
-
 def _components(pairs: Sequence[_Candidate], n_rows: int) -> list[list[_Candidate]]:
     """Pairs grouped by connected component of the row/column graph they form.
 
     Row ``i`` is node ``i`` and column ``j`` node ``n_rows + j``.
     Components keep the input order of their pairs.
     """
-    sets = _UnionFind(n_rows + 1 + max(j for _, j, _ in pairs))
+    parent = list(range(n_rows + 1 + max(j for _, j, _ in pairs)))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
     for i, j, _ in pairs:
-        sets.union(i, n_rows + j)
+        parent[find(i)] = find(n_rows + j)
     groups: dict[int, list[_Candidate]] = {}
     for pair in pairs:
-        groups.setdefault(sets.find(pair[0]), []).append(pair)
+        groups.setdefault(find(pair[0]), []).append(pair)
     return list(groups.values())
 
 
@@ -365,19 +349,22 @@ def _component_optimum(pairs: Sequence[_Candidate]) -> list[_Candidate]:
     first; among equal totals, the set holding the smallest pair of the
     symmetric difference wins.  Distinct sets thus have distinct scores, and
     the unique optimum is the lexicographically smallest maximum-total set.
+    The cost spans the component's own rows and columns, unpadded, and is
+    transposed when the rows outnumber the columns; the ranks stay row-major.
     """
     rows = sorted({i for i, _, _ in pairs})
     cols = sorted({j for _, j, _ in pairs})
-    row_index = {r: k for k, r in enumerate(rows)}
-    col_index = {c: k for k, c in enumerate(cols)}
+    # A pair's cost row and column: its row and column, or the reverse.
+    a, b = (0, 1) if len(rows) <= len(cols) else (1, 0)
+    lines = {x: k for k, x in enumerate((rows, cols)[a])}
+    slots = {x: k for k, x in enumerate((rows, cols)[b])}
     n = len(pairs)
-    size = max(len(rows), len(cols))
-    # Cells outside ``pairs`` cost 0, the same as leaving the row unmatched.
-    cost = [[0] * size for _ in range(size)]
-    for rank, (i, j, value) in enumerate(pairs):
-        cost[row_index[i]][col_index[j]] = -((_exact(value) << n) + (1 << (n - 1 - rank)))
-    assigned = _solve_square(cost)
-    return [pair for pair in pairs if assigned[row_index[pair[0]]] == col_index[pair[1]]]
+    # Cells outside ``pairs`` cost 0, the same as leaving the line unmatched.
+    cost = [[0] * len(slots) for _ in lines]
+    for rank, pair in enumerate(pairs):
+        cost[lines[pair[a]]][slots[pair[b]]] = -((_exact(pair[2]) << n) + (1 << (n - 1 - rank)))
+    assigned = _solve(cost)
+    return [pair for pair in pairs if assigned[lines[pair[a]]] == slots[pair[b]]]
 
 
 def optimal_assignment(

@@ -14,8 +14,8 @@ a tie group only when a detection it keeps has a pair above the
 matching IoU threshold: the kept set does not change between own
 scores, and a row without such a pair cannot change the optimum.  That
 solve covers only the clusters (kept detections and ground truths
-linked through such pairs) that the new detections join, since the
-optimum of every other cluster stays as it was.
+linked through such pairs) that a walk from the new detections
+reaches, since the optimum of every other cluster stays as it was.
 The events are summed by score, and those sums, keyed by every distinct
 score in the dataset, are accumulated in descending score order after
 the empty point at +infinity; no second scan collects the thresholds.
@@ -55,7 +55,7 @@ from itertools import groupby
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
-from .matching import _EXACT_DENOMINATOR, _UnionFind, _exact
+from .matching import _EXACT_DENOMINATOR, _exact
 from .matching import (
     Detection,
     GroundTruth,
@@ -236,11 +236,11 @@ def _image_events(
 
     Greedy claims in score order, so the pairs at any cut are the first
     pairs of one full pass, and a kept row enters the map with its pair
-    from that pass.  With the optimal matcher, a union-find keeps the
-    clusters of kept rows linked through admissible pairs.  A tie group
-    whose rows have such pairs merges the clusters they join, then takes
-    one ``optimal_assignment`` on only those clusters' rows; the other
-    clusters keep their pairs.
+    from that pass.  With the optimal matcher, two maps keep the kept
+    rows' admissible pairs, row -> columns and column -> rows.  A tie
+    group whose rows have such pairs walks from them over each pair of
+    the clusters they join, then takes one ``optimal_assignment`` on
+    only those clusters' rows; the other clusters keep their pairs.
     """
     dets, gts = entry
     if not dets:
@@ -250,10 +250,9 @@ def _image_events(
     by_score = _score_order(scores)
     optimal = matcher == "optimal"
     if optimal:
-        # Row i is node i and column j node n_dets + j; each root maps to its cluster's rows.
-        n_dets = len(dets)
-        clusters = _UnionFind(n_dets + len(gts))
-        cluster_rows: dict[int, list[int]] = {}
+        # The kept rows' admissible pairs, both ways: row -> columns, column -> rows.
+        row_columns: dict[int, list[int]] = {}
+        column_rows: dict[int, list[int]] = {}
     else:
         claims = {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
     matched: dict[int, float] = {}
@@ -266,24 +265,28 @@ def _image_events(
                 columns = [j for j, iou in enumerate(matrix[i]) if iou > iou_threshold]
                 if columns:
                     joined.append(i)
-                    cluster_rows[i] = [i]
+                    row_columns[i] = columns
                     for j in columns:
-                        root, absorbed = clusters.union(i, n_dets + j)
-                        if root != absorbed:
-                            cluster_rows.setdefault(root, []).extend(cluster_rows.pop(absorbed))
+                        column_rows.setdefault(j, []).append(i)
             elif i in claims:
                 matched[i] = claims[i]
         if joined:
             # Only the clusters that a newly kept row joined can change.
             # Their rows, in ascending index order, keep the row-major
             # ranks of the tie-break.
-            roots = {clusters.find(k) for k in joined}
-            rows = sorted(k for root in roots for k in cluster_rows[root])
+            touched, seen = set(joined), set()
+            while joined:
+                for j in row_columns[joined.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        reached = [k for k in column_rows[j] if k not in touched]
+                        touched.update(reached)
+                        joined.extend(reached)
+            rows = sorted(touched)
             for k in rows:
                 matched.pop(k, None)
             for r, _, iou in optimal_assignment([matrix[k] for k in rows], iou_threshold):
                 matched[rows[r]] = iou
-            joined = []
         new_tp = len(matched)
         new_sum = _exact(math.fsum(matched.values()))
         yield score, new_tp - tp, kept - new_tp - fp, new_sum - iou_sum

@@ -429,6 +429,41 @@ def test_optimal_assignment_matches_exhaustive_on_tied_clusters():
     assert tied >= 100 and sizes_tied >= 5 and split >= 100, (tied, sizes_tied, split)
 
 
+def _tall_or_wide_matrix(rng):
+    """A tied matrix of many rows and at most 3 columns, or the reverse.
+
+    Shapes include 40x1, 40x3, 1x12 and 3x12.  Most cells are admissible
+    and the values come from three levels, so one cluster usually spans
+    the whole matrix and its optimum is tied many ways.
+    """
+    shapes = [(40, 1), (40, 3), (12, 1), (12, 3), (rng.randint(4, 40), rng.randint(1, 3))]
+    n_long, n_short = rng.choice(shapes)
+    values = [0.0, 0.25, 0.5, 0.5, 0.75, 0.75]
+    matrix = [[rng.choice(values) for _ in range(n_short)] for _ in range(n_long)]
+    return matrix if rng.random() < 0.5 else [list(column) for column in zip(*matrix)]
+
+
+def test_optimal_assignment_matches_exhaustive_on_tall_and_wide_clusters():
+    rng = random.Random(1955)
+    tall = wide = tied = 0
+    for _ in range(120):
+        matrix = _tall_or_wide_matrix(rng)
+        for threshold in (0.0, 0.3, 0.5):
+            pairs = optimal_assignment(matrix, threshold)
+            best_pairs, best_total, scaled = oracles.exhaustive_best_assignment(matrix, threshold)
+            assert tuple((i, j) for i, j, _ in pairs) == best_pairs
+            assert all(value == matrix[i][j] for i, j, value in pairs)
+            assert sum(scaled[i][j] for i, j, _ in pairs) == best_total
+            for component in _admissible_components(matrix, threshold):
+                n_rows = len({i for i, _ in component})
+                n_cols = len({j for _, j in component})
+                tall += n_rows >= 4 * n_cols
+                wide += n_cols >= 4 * n_rows
+            tied += _optimal_sets(matrix, threshold)[0] >= 2
+    # Clusters far taller than wide, and far wider than tall, came up, with ties.
+    assert tall >= 100 and wide >= 100 and tied >= 200, (tall, wide, tied)
+
+
 def test_optimal_assignment_large_tied_component():
     # 1,600 admissible pairs of equal IoU: every perfect pairing ties, and
     # the tie-break weights are 1,600 bits wider than the IoU weights.
@@ -439,13 +474,13 @@ def test_optimal_assignment_large_tied_component():
 
 def test_optimal_assignment_solves_each_component_once(monkeypatch):
     solved = []
-    solve = facemetrics.matching._solve_square
+    solve = facemetrics.matching._solve
 
     def counting(cost):
         solved.append(len(cost))
         return solve(cost)
 
-    monkeypatch.setattr(facemetrics.matching, "_solve_square", counting)
+    monkeypatch.setattr(facemetrics.matching, "_solve", counting)
     rng = random.Random(11)
     for _ in range(200):
         matrix = _clustered_matrix(rng)

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
+import facemetrics.matching
 import facemetrics.metrics
 from facemetrics.geometry import Rect
-from facemetrics.matching import Detection, GroundTruth
+from facemetrics.matching import Detection, GroundTruth, match_optimal
 from facemetrics.metrics import (
     Curve,
     CurvePoint,
@@ -387,6 +388,78 @@ def test_optimal_sweep_on_crowds_equals_rematch_oracle_bit_for_bit():
             for entry in ds.images.values():
                 seen.update(_sweep_cases(entry, iou_threshold))
     assert len(seen) == 3 and min(seen.values()) >= 5, seen
+
+
+def _few_faces_dataset(rng):
+    """20-60 detections over 1-3 neighbouring box faces, with three distinct scores.
+
+    Most detections sit on one face, so each face gathers a tall cluster;
+    a few sit halfway between two neighbours (IoU about 0.33 apart) and
+    bridge their clusters.
+    """
+    scores = [round(rng.random(), 2) for _ in range(3)]
+    n_faces = rng.randint(1, 3)
+    faces = [(24.0 * k, 0.0, 24.0 * k + 48.0, 48.0) for k in range(n_faces)]
+    dets = []
+    for _ in range(rng.randint(20, 60)):
+        k = rng.randrange(n_faces)
+        if k + 1 < n_faces and rng.random() < 0.15:
+            box = [0.5 * (u + v) for u, v in zip(faces[k], faces[k + 1])]
+        else:
+            box = list(faces[k])
+        dx, dy, grow = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+        region = Rect(box[0] + dx, box[1] + dy, box[2] + dx + grow, box[3] + dy + grow)
+        dets.append(Detection(region=region, score=rng.choice(scores), image_id="faces"))
+    gts = [GroundTruth(region=Rect(*face), image_id="faces") for face in faces]
+    return EvalDataset.from_images({"faces": (dets, gts)})
+
+
+def test_optimal_sweep_on_tall_clusters_equals_rematch_oracle_bit_for_bit():
+    rng = random.Random(2016)
+    tallest = 0
+    for _ in range(40):
+        ds = _few_faces_dataset(rng)
+        for iou_threshold in (0.0, 0.3, 0.5):
+            _assert_equals_rematch_oracle(ds, "optimal", iou_threshold)
+            for entry in ds.images.values():
+                matrix = oracles.reference_iou_matrix(*entry)
+                clusters = _row_clusters(matrix, range(len(matrix)), iou_threshold)
+                tallest = max([tallest] + [len(c) for c in clusters])
+    assert tallest >= 40, tallest
+
+
+def test_the_solver_gets_each_cluster_unpadded_with_no_more_rows_than_columns(monkeypatch):
+    costs = []
+    solve = facemetrics.matching._solve
+
+    def recording(cost):
+        costs.append(cost)
+        return solve(cost)
+
+    monkeypatch.setattr(facemetrics.matching, "_solve", recording)
+    # A tall sweep: 40 detections on one face, at distinct scores.
+    rng = random.Random(40)
+    dets = []
+    for n in range(40):
+        dx, dy = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        dets.append(_det(dx, dy, 48.0 + dx, 48.0 + dy, 1.0 - n / 64))
+    tall = EvalDataset.from_images({"img": (dets, [_gt(0, 0, 48, 48)])})
+    # A wide sweep: three long detections, each across twelve small faces.
+    gts = [_gt(10 * k, 0, 10 * k + 8, 8) for k in range(12)]
+    dets = [_det(0, 0, 118, 8 + n, 0.9 - n / 10) for n in range(3)]
+    wide = EvalDataset.from_images({"img": (dets, gts)})
+    for ds in (tall, wide, _few_faces_dataset(random.Random(3))):
+        discrete_roc(ds, "optimal", iou_threshold=0.0)
+        for entry in ds.images.values():
+            match_optimal(*entry, 0.0)
+    shapes = {(len(cost), len(cost[0])) for cost in costs}
+    # The 40x1 cluster arrives as one row over 40 columns, and the 3x12 one as it is.
+    assert {(1, 40), (3, 12)} <= shapes, sorted(shapes)
+    for cost in costs:
+        assert len(cost) <= len(cost[0])
+        # A pair costs below 0 and any other cell 0: no row or column is padding.
+        assert all(min(row) < 0 for row in cost)
+        assert all(min(column) < 0 for column in zip(*cost))
 
 
 def _count_calls(monkeypatch, name):
