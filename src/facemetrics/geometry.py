@@ -212,14 +212,19 @@ class Polygon:
     def area(self) -> float:
         """The shoelace area: the cached edge terms added one by one in vertex order.
 
-        When their sum, twice the area, passes the float range, the halved
-        terms are added instead, so an area below the range stays finite.
+        When their sum is not finite (twice the area, or the distance
+        between two vertices, passes the float range), it is the area of
+        a copy scaled down by the power of two of ``_down_shift``, scaled
+        back up.  That is exact wherever no coordinate drops below the
+        normal range, so an area below the float range stays finite.
         """
-        terms = self._arcs.terms
-        total = functools.reduce(operator.add, terms, 0.0)
-        if math.isinf(total):
-            return abs(functools.reduce(operator.add, [0.5 * t for t in terms], 0.0))
-        return abs(0.5 * total)
+        total = functools.reduce(operator.add, self._arcs.terms, 0.0)
+        if math.isfinite(total):
+            return abs(0.5 * total)
+        xs, ys = (axis.coords for axis in self._arcs.axes)
+        shift = _down_shift((*xs, *ys))  # negative: some coordinate passes 2**505
+        scaled = Polygon([(math.ldexp(x, shift), math.ldexp(y, shift)) for x, y in zip(xs, ys)])
+        return scaled.area * 2.0 ** -shift * 2.0 ** -shift
 
 
 def area(rect: Rect) -> float:
@@ -309,19 +314,18 @@ class _Arcs(NamedTuple):
     ``terms[i]`` is the shoelace term ``x0 * y1 - x1 * y0`` of the edge
     from vertex ``i`` to vertex ``i + 1`` (cyclically), the same float
     wherever that edge appears in a clipped polygon, with every
-    coordinate taken less ``origin``.  Summed in index order, as
-    ``tests/oracles.py::reference_signed_area`` sums them, they give the
-    polygon's own area.  ``origin`` is ``(0.0, 0.0)``, which leaves every
-    coordinate's bits alone, unless those terms or their sum are not
-    finite (far from ``(0, 0)`` a product ``x0 * y1`` overflows, and
-    inf - inf is NaN); then it is the first vertex, if the terms about it
-    sum to a finite area.  The shoelace sum does not depend on the origin.
+    coordinate taken less the first vertex's.  Summed in index order, as
+    ``tests/oracles.py::reference_signed_area`` sums them about that
+    vertex, they give the polygon's own area.  The shoelace sum does not
+    depend on the point the terms are taken about, but its rounding does:
+    about ``(0, 0)`` the products grow with the polygon's distance from
+    it and cancel, far off, to an area that is wrong or not finite; about
+    a vertex they grow only with the polygon's size.
     """
 
     vertices: tuple[tuple[float, float], ...]
     axes: tuple[_Axis, _Axis]
     terms: list[float]
-    origin: tuple[float, float]
 
 
 def _axis(coords: list[float], rotated: list[float]) -> _Axis:
@@ -354,28 +358,15 @@ def _build_arcs(vertices: Sequence[Sequence[float]]) -> _Arcs:
                 raise ValueError(f"Polygon vertex {i} must be finite, got {point!r}")
     next_xs = xs[1:] + xs[:1]
     next_ys = ys[1:] + ys[:1]
-    origin = (0.0, 0.0)
-    terms = _shoelace_terms(xs, ys, next_xs, next_ys)
-    # sum() is the in-order sum plus, from Python 3.12 on, a compensation,
-    # so it is finite only when the in-order sum is; at a fifth of the
-    # cost, it screens first.
-    if not math.isfinite(sum(terms)) and not math.isfinite(
-        functools.reduce(operator.add, terms, 0.0)
-    ):
-        ox, oy = xs[0], ys[0]
-        dxs = [x - ox for x in xs]
-        dys = [y - oy for y in ys]
-        shifted = _shoelace_terms(dxs, dys, dxs[1:] + dxs[:1], dys[1:] + dys[:1])
-        if math.isfinite(functools.reduce(operator.add, shifted, 0.0)):
-            origin, terms = (ox, oy), shifted
-    return _Arcs(tuple(zip(xs, ys)), (_axis(xs, next_xs), _axis(ys, next_ys)), terms, origin)
-
-
-def _shoelace_terms(
-    xs: list[float], ys: list[float], next_xs: list[float], next_ys: list[float]
-) -> list[float]:
-    """``x0 * y1 - x1 * y0`` for each edge ``(x0, y0) -> (x1, y1)``."""
-    return list(map(operator.sub, map(operator.mul, xs, next_ys), map(operator.mul, next_xs, ys)))
+    ox, oy = xs[0], ys[0]
+    dxs = [x - ox for x in xs]
+    dys = [y - oy for y in ys]
+    terms = list(map(
+        operator.sub,
+        map(operator.mul, dxs, dys[1:] + dys[:1]),
+        map(operator.mul, dxs[1:] + dxs[:1], dys),
+    ))
+    return _Arcs(tuple(zip(xs, ys)), (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
 
 
 def _crossing(
@@ -403,7 +394,7 @@ def _clip(arcs: _Arcs, rect: Rect) -> list:
     of the run as one index range.  Each pass costs O(runs + log n) for
     its ranges plus O(1) per crossing.
     """
-    vertices, axes, _, _ = arcs
+    vertices, axes, _ = arcs
     pieces: list = [range(len(vertices))]
     for axis, bound, keep_above in (
         (0, rect.x_min, True),   # x >= x_min
@@ -498,13 +489,14 @@ def _clipped_area(arcs: _Arcs, pieces: list) -> float:
 
     Inside a range every edge is a polygon edge, whose term is read from
     ``arcs.terms``; only the edges that touch a crossing or join two
-    pieces are computed, on coordinates less ``arcs.origin`` as the
-    cached terms are.  The terms are added one by one in vertex order,
-    as the vertex-by-vertex shoelace (``tests/oracles.py``'s
+    pieces are computed, on coordinates less the first polygon vertex's
+    as the cached terms are.  The terms are added one by one in vertex
+    order, as the vertex-by-vertex shoelace (``tests/oracles.py``'s
     ``reference_signed_area``) adds them: ``reduce`` adds in sequence,
     where ``sum`` would not (it is compensated from Python 3.12 on).
     """
-    vertices, _, terms, (ox, oy) = arcs
+    vertices, _, terms = arcs
+    ox, oy = vertices[0]
     total = 0.0
     prev = None
     for piece in pieces:
@@ -546,11 +538,9 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
     Python 3.12 on, and any other order changes the last bits.  So the
     IoU is bit-identical to clipping vertex by vertex and summing the
     shoelace of the clipped list, as
-    ``tests/oracles.py::reference_iou_ellipse_rect`` does.  The one
-    exception is a polygon so far from ``(0, 0)`` that its own shoelace
-    terms do not sum to a finite area: its terms are then taken about its
-    first vertex (see ``_Arcs``), and its IoUs may differ from the
-    reference's, which are NaN wherever a non-finite term enters.
+    ``tests/oracles.py::reference_iou_ellipse_rect`` does.  Every term is
+    taken about the polygon's first vertex (see ``_Arcs``), so an ellipse
+    far from ``(0, 0)`` scores as it does at the origin.
 
     The clip decides every rect of nonzero area: a rect clear of the
     ellipse clips to nothing and scores 0.0.
@@ -602,12 +592,14 @@ def _scaled_down_iou(polygon: Polygon, ellipse_area: float, rect: Rect) -> float
     Every vertex and rect corner is scaled by the power of two ``2**shift``
     that brings the largest of them just below ``2**_SCALED_EXPONENT``, and
     the ellipse's area by ``2**(2 * shift)``.  A union overflows only where
-    some coordinate passes ``2**505`` (about a thousand shoelace terms of
-    at most ``8 * M**2`` each), so ``shift`` is negative, at least -524,
-    and the scaled copy's union is finite.  Scaling by a power of two is
-    exact for every value that stays normal, and the clip's crossings,
-    the shoelace terms and the areas are then the scaled values of the
-    original's, so the IoU is the one unbounded exponents would give.
+    some coordinate passes ``2**505`` (about a thousand shoelace terms,
+    each taken about the first vertex, so at most ``8 * M**2`` for ``M``
+    the largest coordinate's magnitude), so ``shift`` is negative, at
+    least -524, and the scaled copy's union is finite.  Scaling by a
+    power of two is exact for every value that stays normal, and the
+    clip's crossings, the shoelace terms and the areas are then the
+    scaled values of the original's, so the IoU is the one unbounded
+    exponents would give.
     Only a value below ``2**(-1022 - shift)`` rounds, by less than
     ``2**(-1074 - shift)``; nothing underflows to an error, since the
     scaled copy is built from the polygon, not from a new ``Ellipse``.

@@ -30,7 +30,9 @@ integer weights, so each connected cluster of admissible pairs
 (detections and ground truths linked through IoUs above the threshold)
 takes one Hungarian solve on its own rows and columns, unpadded and
 transposed when it has more rows than columns, at ``r**2 * c`` for
-``r <= c`` of them; a cluster of one pair takes none.
+``r <= c`` of them; a cluster of one pair takes none.  One walk over
+the pairs finds a cluster's rows (``_linked_rows``), here and in the
+ROC sweep's re-solves.
 """
 
 from __future__ import annotations
@@ -317,26 +319,26 @@ def _solve(cost: list[list[int]]) -> list[int]:
 _Candidate = tuple[int, int, float]
 
 
-def _components(pairs: Sequence[_Candidate], n_rows: int) -> list[list[_Candidate]]:
-    """Pairs grouped by connected component of the row/column graph they form.
+def _linked_rows(
+    rows: list[int], row_columns: dict[int, list[int]], column_rows: dict[int, list[int]]
+) -> list[int]:
+    """``rows`` and every row linked to them through admissible pairs, ascending.
 
-    Row ``i`` is node ``i`` and column ``j`` node ``n_rows + j``.
-    Components keep the input order of their pairs.
+    ``row_columns`` and ``column_rows`` hold the same pairs both ways.  A
+    stack walk from ``rows`` visits each column it reaches once, so it
+    costs O(pairs of the clusters it reaches).
     """
-    parent = list(range(n_rows + 1 + max(j for _, j, _ in pairs)))
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for i, j, _ in pairs:
-        parent[find(i)] = find(n_rows + j)
-    groups: dict[int, list[_Candidate]] = {}
-    for pair in pairs:
-        groups.setdefault(find(pair[0]), []).append(pair)
-    return list(groups.values())
+    touched = set(rows)
+    stack = list(touched)
+    seen: set[int] = set()
+    while stack:
+        for j in row_columns[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                reached = [k for k in column_rows[j] if k not in touched]
+                touched.update(reached)
+                stack.extend(reached)
+    return sorted(touched)
 
 
 def _component_optimum(pairs: Sequence[_Candidate]) -> list[_Candidate]:
@@ -376,18 +378,24 @@ def optimal_assignment(
     Among equal-total assignments, returns the lexicographically
     smallest set of (row, col) pairs, sorted.  Totals are compared in
     exact integer units of ``2**-1074`` (:func:`_exact`).  The admissible
-    pairs split into connected components that share no row or column;
-    each component with two or more pairs takes one Hungarian solve on
-    weights that fold the tie-break in (:func:`_component_optimum`).  The
-    tie-break holds per component: with positive weights no optimum is a
-    prefix of another, so the lexicographic order of two optima is
-    settled by the smallest pair in their symmetric difference.
+    pairs split into connected components that share no row or column
+    (:func:`_linked_rows`), each listed row-major; each component with
+    two or more pairs takes one Hungarian solve on weights that fold the
+    tie-break in (:func:`_component_optimum`).  The tie-break holds per
+    component: with positive weights no optimum is a prefix of another,
+    so the lexicographic order of two optima is settled by the smallest
+    pair in their symmetric difference.
     """
-    candidates = _admissible(matrix, iou_threshold)
-    if not candidates:
-        return []
+    row_columns: dict[int, list[int]] = {}
+    column_rows: dict[int, list[int]] = {}
+    for i, j, _ in _admissible(matrix, iou_threshold):
+        row_columns.setdefault(i, []).append(j)
+        column_rows.setdefault(j, []).append(i)
     chosen = []
-    for component in _components(candidates, len(matrix)):
+    while row_columns:
+        # The lowest row not yet in a component, and the rows linked to it.
+        rows = _linked_rows([next(iter(row_columns))], row_columns, column_rows)
+        component = [(k, j, matrix[k][j]) for k in rows for j in row_columns.pop(k)]
         chosen.extend(_component_optimum(component) if len(component) > 1 else component)
     chosen.sort()
     return chosen

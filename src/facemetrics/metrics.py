@@ -55,7 +55,7 @@ from itertools import groupby
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
-from .matching import _EXACT_DENOMINATOR, _exact
+from .matching import _EXACT_DENOMINATOR, _exact, _linked_rows
 from .matching import (
     Detection,
     GroundTruth,
@@ -239,8 +239,10 @@ def _image_events(
     from that pass.  With the optimal matcher, two maps keep the kept
     rows' admissible pairs, row -> columns and column -> rows.  A tie
     group whose rows have such pairs walks from them over each pair of
-    the clusters they join, then takes one ``optimal_assignment`` on
-    only those clusters' rows; the other clusters keep their pairs.
+    the clusters they join (:func:`~facemetrics.matching._linked_rows`,
+    the walk ``optimal_assignment`` splits its components with), then
+    takes one ``optimal_assignment`` on only those clusters' rows; the
+    other clusters keep their pairs.
     """
     dets, gts = entry
     if not dets:
@@ -274,15 +276,8 @@ def _image_events(
             # Only the clusters that a newly kept row joined can change.
             # Their rows, in ascending index order, keep the row-major
             # ranks of the tie-break.
-            touched, seen = set(joined), set()
-            while joined:
-                for j in row_columns[joined.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        reached = [k for k in column_rows[j] if k not in touched]
-                        touched.update(reached)
-                        joined.extend(reached)
-            rows = sorted(touched)
+            rows = _linked_rows(joined, row_columns, column_rows)
+            joined.clear()
             for k in rows:
                 matched.pop(k, None)
             for r, _, iou in optimal_assignment([matrix[k] for k in rows], iou_threshold):

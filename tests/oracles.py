@@ -3,11 +3,13 @@
 Everything here is deliberately written from first principles rather
 than by calling back into the code under test: a Monte Carlo estimator
 of ellipse/rect IoU, the vertex-by-vertex Sutherland-Hodgman clip and
-shoelace, the ellipse IoU built from those two, the exact area of an
-ellipse inside a rect, an exact rational rectangle IoU, the dense IoU
-matrix, an exhaustive assignment search, a vectorized NMS, and a
-re-matching ROC tally that recomputes every operating point from
-scratch instead of sweeping incrementally.
+shoelace (its terms taken about a given point: the ellipse IoU takes
+them about its polygon's first vertex, as the library does), the
+ellipse IoU built from those two, the exact area of an ellipse inside
+a rect, an exact rational rectangle IoU, the dense IoU matrix, an
+exhaustive assignment search, a vectorized NMS, and a re-matching ROC
+tally that recomputes every operating point from scratch instead of
+sweeping incrementally.
 """
 
 import math
@@ -142,21 +144,28 @@ def reference_clip_polygon_to_rect(vertices, rect: Rect):
     return output
 
 
-def reference_signed_area(vertices) -> float:
-    """Shoelace formula, one edge at a time; positive for counter-clockwise order."""
+def reference_signed_area(vertices, origin=(0.0, 0.0)) -> float:
+    """Shoelace formula, one edge at a time; positive for counter-clockwise order.
+
+    Each term is taken on the coordinates less ``origin``, which leaves
+    the exact area alone but not its rounding: the library takes its
+    terms about the subject polygon's first vertex.
+    """
+    ox, oy = origin
     total = 0.0
     n = len(vertices)
     for i in range(n):
         x0, y0 = vertices[i]
         x1, y1 = vertices[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
+        total += (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
     return 0.5 * total
 
 
 def reference_iou_ellipse_rect(ellipse: Ellipse, rect: Rect, polygon, clipped=None) -> float:
     """Ellipse/rect IoU by the reference clip and shoelace of ``polygon``, the ellipse's 1024-gon.
 
-    No shortcut: every rect of nonzero area is clipped.  The library's
+    No shortcut: every rect of nonzero area is clipped, and the clipped
+    shoelace is taken about the polygon's first vertex.  The library's
     ``iou_ellipse_rect`` must return exactly this float.  ``clipped``,
     when given, is that clip's result.
     """
@@ -167,7 +176,7 @@ def reference_iou_ellipse_rect(ellipse: Ellipse, rect: Rect, polygon, clipped=No
         clipped = reference_clip_polygon_to_rect(polygon.vertices, rect)
     if len(clipped) < 3:
         return 0.0
-    inter = abs(reference_signed_area(clipped))
+    inter = abs(reference_signed_area(clipped, polygon.vertices[0]))
     union = math.pi * ellipse.semi_major * ellipse.semi_minor + rect_area - inter
     if union <= 0:
         return 0.0

@@ -280,7 +280,9 @@ def test_polygon_copies_a_vertex_list_into_a_tuple():
     pieces = geometry._clip(polygon._arcs, rect)
     assert pieces == geometry._clip(from_tuple._arcs, rect)
     clipped = oracles.reference_clip_polygon_to_rect(from_tuple.vertices, rect)
-    assert geometry._clipped_area(polygon._arcs, pieces) == oracles.reference_signed_area(clipped)
+    assert geometry._clipped_area(polygon._arcs, pieces) == oracles.reference_signed_area(
+        clipped, from_tuple.vertices[0]
+    )
 
 
 def test_polygon_and_clip_reject_a_non_finite_vertex_and_keep_huge_finite_ones():
@@ -300,6 +302,10 @@ def test_polygon_and_clip_reject_a_non_finite_vertex_and_keep_huge_finite_ones()
     # A sum past the float range is not a bad vertex.
     huge = [(1e300, 0.0), (1.7e308, 1e300), (0.0, 1.7e308)]
     assert Polygon(huge).vertices == tuple(huge)
+    # An area past the float range is inf; one below it stays finite, also
+    # where two vertices lie farther apart than the float range.
+    assert Polygon(huge).area == math.inf
+    assert Polygon([(-1e308, 0.0), (1e308, 0.0), (0.0, 1.0)]).area == 1e308
     assert clip_polygon_to_rect(huge, Rect(0.0, 0.0, 1.75e308, 1.75e308)) == huge
 
 
@@ -707,9 +713,7 @@ def test_iou_ellipse_rect_is_within_the_polygon_deficit_of_the_exact_iou():
     centers up to 500), 100 rects each.  Half the rects are the bounding
     box with each side moved by up to 40% of its size; the rest are
     random rects in and around the box, from 1% to 150% of its size, so
-    they cut the ellipse, sit inside it, hold it, or miss it.  Not
-    covered: the extreme coordinates of ``_extreme_ellipses``, where the
-    polygon's rounded vertices, not its deficit, set the error.
+    they cut the ellipse, sit inside it, hold it, or miss it.
 
     The 1024-gon is inscribed, so its overlap with a rect is smaller than
     the ellipse's by at most the polygon's deficit, a relative 6.3e-6 of
@@ -810,9 +814,56 @@ def test_iou_ellipse_rect_at_the_bounding_box_edges_matches_the_reference_bit_fo
     assert cases == 4 * 5 * 5 * 2 * 4 and nonzero > 0
 
 
+def _rounding_bound(ellipse):
+    """The polygon's deficit plus ``6 u / b``, the error of vertices on a float grid of spacing u.
+
+    Each clipped vertex is off by at most ``u / sqrt(2)``, where ``u`` is
+    the ulp of the box's largest corner: see the test below.
+    """
+    box = bounding_rect(ellipse)
+    u = math.ulp(max(abs(box.x_min), abs(box.x_max), abs(box.y_min), abs(box.y_max)))
+    return 1.3e-5 + 6.0 * u / ellipse.semi_minor
+
+
+def _check_box_and_left_half(ellipse, polygon, bound):
+    """The IoU with the bounding box and with its left half is within ``bound`` of the exact one."""
+    box = bounding_rect(ellipse)
+    left = Rect(box.x_min, box.y_min, 0.5 * (box.x_min + box.x_max), box.y_max)
+    for rect in (box, left):
+        got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
+        want = oracles.exact_iou_ellipse_rect(ellipse, rect)
+        assert abs(got - want) <= bound, (ellipse, rect, got, want)
+
+
+def test_an_ellipse_far_from_the_origin_scores_as_at_the_origin():
+    # The shoelace terms are taken about the polygon's first vertex, so
+    # they grow with the ellipse's size, not with its distance from
+    # (0, 0), and do not cancel.  About (0, 0) this ellipse at a center of
+    # 1e10 gave a polygon 32.6 times its area, and a perfect box an IoU of
+    # 0.0.  What error is left comes from the vertices' rounding, the
+    # bound's second term, which passes the 1.3e-5 deficit from a
+    # center/axis ratio of about 1e9 (and bounds nothing past 1e15).
+    for exponent in range(3, 16):
+        ratio = 10.0 ** exponent
+        ellipse = Ellipse(10.0 * ratio, -5.0 * ratio, 10.0, 8.0, 0.3)
+        _check_box_and_left_half(ellipse, ellipse_to_polygon(ellipse), _rounding_bound(ellipse))
+    checked = 0
+    for ellipse in _extreme_ellipses(random.Random(65)):
+        bound = _rounding_bound(ellipse)
+        if bound < 1.0:
+            _check_box_and_left_half(ellipse, ellipse_to_polygon(ellipse), bound)
+            checked += 1
+    assert checked == 4, checked
+    # The polygon falls short of the ellipse by its deficit, as at the origin.
+    for center in (1e7, 1e8):
+        ellipse = Ellipse(center, center, 10.0, 8.0, 0.3)
+        assert 1.0 - 6.4e-6 < ellipse_to_polygon(ellipse).area / ellipse.area < 1.0 - 6.2e-6
+
+
 def test_an_ellipse_whose_shoelace_products_overflow_gets_a_finite_iou():
     # Far from (0, 0) a product x0 * y1 passes the float range though the
-    # ellipse and its area are finite, and inf - inf is NaN.  The first
+    # ellipse and its area are finite, and inf - inf is NaN; the terms
+    # about the polygon's first vertex stay finite.  The first
     # ellipse's vertices hold the 1024-gon as at the origin; the second's
     # sit on a float grid of spacing u only a few hundred times finer than
     # its minor axis.  Each clipped vertex is off by at most u / sqrt(2), so
@@ -827,12 +878,7 @@ def test_an_ellipse_whose_shoelace_products_overflow_gets_a_finite_iou():
         polygon = ellipse_to_polygon(ellipse)
         assert math.isfinite(polygon.area)
         box = bounding_rect(ellipse)
-        u = math.ulp(max(abs(box.x_min), abs(box.x_max), abs(box.y_min), abs(box.y_max)))
-        bound = 1.3e-5 + 6.0 * u / ellipse.semi_minor
-        left = Rect(box.x_min, box.y_min, 0.5 * (box.x_min + box.x_max), box.y_max)
-        for rect in (box, left):
-            got = iou_ellipse_rect(ellipse, rect, polygon=polygon)
-            assert abs(got - oracles.exact_iou_ellipse_rect(ellipse, rect)) <= bound, (ellipse, rect)
+        _check_box_and_left_half(ellipse, polygon, _rounding_bound(ellipse))
         # A box on the ellipse matches it.
         gt = GroundTruth(region=ellipse, image_id="far")
         det = Detection(region=box, score=0.9, image_id="far")
