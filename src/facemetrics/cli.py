@@ -55,15 +55,17 @@ from typing import NoReturn
 from ._version import __version__
 from .anchors import _LONG_SIDE, _RESIZE_MODES, _SHORT_SIDE, DEFAULT_ANCHOR_SPEC, AnchorSpec
 from .anchors import _check_grid, anchor_grid, resize_scale
-from .geometry import _check_iou_threshold, _score_order, nms
+from .geometry import _check_iou_threshold, nms
 from .io import (
     _ANGLE_UNITS,
     _FORMATS,
+    AnnotationFile,
     ParseError,
     build_dataset,
     format_rect,
     parse_region_list,
     parse_scored_rects,
+    read_detections,
     write_curve,
 )
 from .matching import Detection
@@ -235,16 +237,6 @@ def _load_dataset(config: RunConfig) -> EvalDataset:
     return build_dataset(annotations, detections)
 
 
-def _cap_detections(ds: EvalDataset, cap: int) -> EvalDataset:
-    """Keep each image's ``cap`` best-scored detections (ties by input order)."""
-    images = {}
-    for image_id, entry in ds.images.items():
-        dets = entry.detections
-        kept = tuple(dets[i] for i in sorted(_score_order([d.score for d in dets])[:cap]))
-        images[image_id] = (kept, entry.ground_truths)
-    return EvalDataset.from_images(images)
-
-
 def _summarize(curve: Curve, query_x: float | None) -> str:
     if query_x is not None:
         y = curve_query(curve, query_x)
@@ -260,11 +252,21 @@ def _summarize(curve: Curve, query_x: float | None) -> str:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    ds = _load_dataset(config)
-    if config.top is not None:
-        ds = _cap_detections(ds, config.top)
+    """Write the curve of ``config.mode`` and print its summary line to stderr.
+
+    The ground truths are read whole.  The detection file is read one
+    image block at a time: each block is parsed, checked, capped to
+    ``config.top`` and swept, then dropped, so memory grows with the
+    largest image and the distinct scores, not with every detection.
+    The first error is the one reading the whole file would raise.
+    """
+    annotations = parse_region_list(_read_text(config.gt), angle_unit=config.angle_unit)
+    ds = build_dataset(annotations, AnnotationFile(()))
+    detections = read_detections(
+        _read_text(config.det), ds.images, angle_unit=config.angle_unit, top=config.top
+    )
     build = _MODE_BUILDERS[config.mode]
-    curve = build(ds, config.matcher, iou_threshold=config.iou)
+    curve = build(ds, config.matcher, iou_threshold=config.iou, detections=detections)
     text = write_curve(
         curve, config.format, dataset_name=config.dataset_name, matcher=config.matcher
     )

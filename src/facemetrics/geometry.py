@@ -214,17 +214,25 @@ class Polygon:
 
         When their sum is not finite (twice the area, or the distance
         between two vertices, passes the float range), it is the area of
-        a copy scaled down by the power of two of ``_down_shift``, scaled
-        back up.  That is exact wherever no coordinate drops below the
-        normal range, so an area below the float range stays finite.
+        a copy whose axes are each scaled by the power of two of
+        ``_down_shift`` for that axis, scaled back in one ``ldexp``.  That
+        is exact wherever no coordinate drops below the normal range, so
+        an area below the float range stays finite, also for a polygon
+        that is far longer on one axis than on the other; an area past the
+        float range is ``inf``.
         """
         total = functools.reduce(operator.add, self._arcs.terms, 0.0)
         if math.isfinite(total):
             return abs(0.5 * total)
         xs, ys = (axis.coords for axis in self._arcs.axes)
-        shift = _down_shift((*xs, *ys))  # negative: some coordinate passes 2**505
-        scaled = Polygon([(math.ldexp(x, shift), math.ldexp(y, shift)) for x, y in zip(xs, ys)])
-        return scaled.area * 2.0 ** -shift * 2.0 ** -shift
+        x_shift, y_shift = _down_shift(xs), _down_shift(ys)
+        scaled = Polygon(
+            [(math.ldexp(x, x_shift), math.ldexp(y, y_shift)) for x, y in zip(xs, ys)]
+        )
+        try:
+            return math.ldexp(scaled.area, -x_shift - y_shift)
+        except OverflowError:
+            return math.inf
 
 
 def area(rect: Rect) -> float:

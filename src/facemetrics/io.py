@@ -15,7 +15,9 @@ pass ``angle_unit="degrees"`` for files written under the degree
 convention.  Parsing is strict: any malformed line raises
 :class:`ParseError` with a 1-based line number, and region counts must
 match exactly.  Silent recovery would quietly corrupt evaluation
-results, so there is none.
+results, so there is none.  :func:`read_detections` reads a detection
+file one image block at a time, under the same rules and with the same
+first error as :func:`parse_region_list` then :func:`build_dataset`.
 
 Writers are canonical: the same curve (and metadata) always serializes
 to byte-identical UTF-8 text with LF newlines, numbers rendered with 6
@@ -31,10 +33,10 @@ import json.scanner
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Container, Iterator, NamedTuple, Union
 
 from ._version import __version__
-from .geometry import Ellipse, Rect
+from .geometry import Ellipse, Rect, _score_order
 from .matching import Detection, GroundTruth
 from .metrics import Curve, CurvePoint, CurvePointError, EvalDataset, XSemantics, YSemantics
 
@@ -49,6 +51,7 @@ __all__ = [
     "parse_scored_rects",
     "format_rect",
     "build_dataset",
+    "read_detections",
     "write_curve",
     "read_curve",
 ]
@@ -143,17 +146,8 @@ def _parse_region_line(line: str, lineno: int, angle_unit: str) -> Region:
     )
 
 
-def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFile:
-    """Parse an FDDB-style region-list file.
-
-    Blank lines are allowed between records but not inside one.  Raises
-    :class:`ParseError` on the first malformed line, undeclared or
-    missing regions, or a duplicate image id.
-    """
-    if angle_unit not in _ANGLE_UNITS:
-        raise ValueError(f"angle_unit must be one of {_ANGLE_UNITS}, got {angle_unit!r}")
-    lines = text.splitlines()
-    entries = []
+def _entries(lines: list[str], angle_unit: str) -> Iterator[AnnotationEntry]:
+    """A region-list file's image blocks, one at a time (see :func:`parse_region_list`)."""
     first_seen: dict[str, int] = {}
     pos = 0
     while True:
@@ -189,8 +183,23 @@ def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFi
                 )
             regions.append(_parse_region_line(lines[pos], pos + 1, angle_unit))
             pos += 1
-        entries.append(AnnotationEntry(image_id, tuple(regions), id_line))
-    return AnnotationFile(tuple(entries))
+        yield AnnotationEntry(image_id, tuple(regions), id_line)
+
+
+def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFile:
+    """Parse an FDDB-style region-list file.
+
+    Blank lines are allowed between records but not inside one.  Raises
+    :class:`ParseError` on the first malformed line, undeclared or
+    missing regions, or a duplicate image id.
+    """
+    _check_angle_unit(angle_unit)
+    return AnnotationFile(tuple(_entries(text.splitlines(), angle_unit)))
+
+
+def _check_angle_unit(angle_unit: str) -> None:
+    if angle_unit not in _ANGLE_UNITS:
+        raise ValueError(f"angle_unit must be one of {_ANGLE_UNITS}, got {angle_unit!r}")
 
 
 def parse_fold_list(text: str) -> list[str]:
@@ -229,6 +238,34 @@ def _entry_error(entry: AnnotationEntry, message: str, offset: int = 0) -> Value
     return ParseError(message, entry.line + offset)
 
 
+def _entry_detections(entry: AnnotationEntry, image_ids: Container[str]) -> list[Detection]:
+    """The detections of a detection-file entry, whose image must be one of ``image_ids``.
+
+    An image outside ``image_ids``, an ellipse or an unscored box is an
+    error; one about an entry read from a file is a :class:`ParseError`
+    naming the line of its image id or region.
+    """
+    if entry.image_id not in image_ids:
+        raise _entry_error(
+            entry, f"detections reference image {entry.image_id!r} absent from the annotations"
+        )
+    dets = []
+    # The regions follow the count line, which follows the image id.
+    for offset, region in enumerate(entry.regions, start=2):
+        if isinstance(region, Ellipse):
+            raise _entry_error(
+                entry,
+                f"image {entry.image_id!r}: detections must be rectangles, got an ellipse",
+                offset,
+            )
+        if region.score is None:
+            raise _entry_error(
+                entry, f"image {entry.image_id!r}: detection entries must carry scores", offset
+            )
+        dets.append(Detection(region=region.rect, score=region.score, image_id=entry.image_id))
+    return dets
+
+
 def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> EvalDataset:
     """Join ground-truth and detection files by image id.
 
@@ -246,25 +283,50 @@ def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> Ev
             gts.append(GroundTruth(region=shape, image_id=entry.image_id))
         images[entry.image_id] = ([], gts)
     for entry in detections.entries:
-        if entry.image_id not in images:
-            raise _entry_error(
-                entry, f"detections reference image {entry.image_id!r} absent from the annotations"
-            )
-        dets = images[entry.image_id][0]
-        # The regions follow the count line, which follows the image id.
-        for offset, region in enumerate(entry.regions, start=2):
-            if isinstance(region, Ellipse):
-                raise _entry_error(
-                    entry,
-                    f"image {entry.image_id!r}: detections must be rectangles, got an ellipse",
-                    offset,
-                )
-            if region.score is None:
-                raise _entry_error(
-                    entry, f"image {entry.image_id!r}: detection entries must carry scores", offset
-                )
-            dets.append(Detection(region=region.rect, score=region.score, image_id=entry.image_id))
+        dets = _entry_detections(entry, images)
+        images[entry.image_id][0].extend(dets)
     return EvalDataset.from_images(images)
+
+
+def read_detections(
+    text: str,
+    image_ids: Container[str],
+    *,
+    angle_unit: str = "radians",
+    top: int | None = None,
+) -> Iterator[tuple[Detection, ...]]:
+    """A detection file's detections, one image block at a time.
+
+    Each block follows the rules of :func:`parse_region_list` and
+    :func:`build_dataset`, with ``image_ids`` the annotated images, and
+    the first error is the one those two would raise: any malformed line
+    of the file first, then the first block that breaks a dataset rule.
+    So that second kind is raised only once the whole text has parsed,
+    after the blocks before it were yielded.  With ``top``, a block keeps
+    its ``top`` best-scored detections (ties by input order), in input
+    order.  The text is split into lines at once and not kept.
+    """
+    _check_angle_unit(angle_unit)
+    return _detection_blocks(_entries(text.splitlines(), angle_unit), image_ids, top)
+
+
+def _detection_blocks(
+    entries: Iterator[AnnotationEntry], image_ids: Container[str], top: int | None
+) -> Iterator[tuple[Detection, ...]]:
+    error = None
+    for entry in entries:
+        if error is not None:
+            continue  # only a malformed line can still come first
+        try:
+            dets = _entry_detections(entry, image_ids)
+        except ValueError as exc:
+            error = exc
+            continue
+        if top is not None and len(dets) > top:
+            dets = [dets[i] for i in sorted(_score_order([d.score for d in dets])[:top])]
+        yield tuple(dets)
+    if error is not None:
+        raise error
 
 
 def _format_number(value: float) -> str:

@@ -19,8 +19,11 @@ reaches, since the optimum of every other cluster stays as it was.
 The events are summed by score, and those sums, keyed by every distinct
 score in the dataset, are accumulated in descending score order after
 the empty point at +infinity; no second scan collects the thresholds.
-Work and memory grow with the detections, not with images times
-distinct scores.
+Work grows with the detections, not with images times distinct scores.
+The sweep takes the images one at a time, from the dataset or, through
+a builder's ``detections``, from a stream such as
+:func:`~facemetrics.io.read_detections`, in any image order.  With a
+stream, memory grows with the largest image plus the distinct scores.
 
 True positives are matched detections; everything else kept at the
 threshold is a false positive.  The discrete criterion counts each
@@ -39,7 +42,9 @@ changes of the rounded per-image totals as exact integers (in the unit
 matcher's weights use too), rounded once per threshold, so no total
 depends on the order it was summed in.  Score ties are broken by input
 index, so shuffling detections with *distinct* scores never changes any
-curve.
+curve.  Of the equal scores ``0.0`` and ``-0.0``, the threshold prints
+the one that comes first in the dataset's image order, then in
+detection order.
 
 Ellipse ground truths are measured on the fixed polygon of the IoU
 layer (:func:`~facemetrics.matching.iou_matrix`), whose vertex count is
@@ -52,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
 from .matching import _EXACT_DENOMINATOR, _exact, _linked_rows
@@ -168,16 +173,7 @@ class EvalDataset:
     def __post_init__(self) -> None:
         gt_count = 0
         for image_id, entry in self.images.items():
-            for det in entry.detections:
-                if det.image_id != image_id:
-                    raise ValueError(
-                        f"detection for image {det.image_id!r} filed under {image_id!r}"
-                    )
-            for gt in entry.ground_truths:
-                if gt.image_id != image_id:
-                    raise ValueError(
-                        f"ground truth for image {gt.image_id!r} filed under {image_id!r}"
-                    )
+            _check_filed(image_id, entry)
             gt_count += len(entry.ground_truths)
         object.__setattr__(self, "total_gt_count", gt_count)
 
@@ -189,6 +185,15 @@ class EvalDataset:
         return cls(
             {key: ImageEntries(tuple(dets), tuple(gts)) for key, (dets, gts) in images.items()}
         )
+
+
+def _check_filed(image_id: str, entry: ImageEntries) -> None:
+    for det in entry.detections:
+        if det.image_id != image_id:
+            raise ValueError(f"detection for image {det.image_id!r} filed under {image_id!r}")
+    for gt in entry.ground_truths:
+        if gt.image_id != image_id:
+            raise ValueError(f"ground truth for image {gt.image_id!r} filed under {image_id!r}")
 
 
 def _check_matcher(matcher: str) -> None:
@@ -259,7 +264,7 @@ def _image_events(
         claims = {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
     matched: dict[int, float] = {}
     joined: list[int] = []  # optimal: newly kept rows with an admissible pair
-    kept = tp = fp = iou_sum = 0
+    kept = tp = fp = iou_sum = new_sum = 0
     for score, group in groupby(by_score, key=scores.__getitem__):
         for i in group:
             kept += 1
@@ -277,15 +282,43 @@ def _image_events(
             # Their rows, in ascending index order, keep the row-major
             # ranks of the tie-break.
             rows = _linked_rows(joined, row_columns, column_rows)
-            joined.clear()
             for k in rows:
                 matched.pop(k, None)
             for r, _, iou in optimal_assignment([matrix[k] for k in rows], iou_threshold):
                 matched[rows[r]] = iou
         new_tp = len(matched)
-        new_sum = _exact(math.fsum(matched.values()))
+        if joined or new_tp != tp:
+            # Only a solve, or a greedy pair entering the map, changes the
+            # map, so any other group keeps the IoU total it was given.
+            new_sum = _exact(math.fsum(matched.values()))
+            joined.clear()
         yield score, new_tp - tp, kept - new_tp - fp, new_sum - iou_sum
         tp, fp, iou_sum = new_tp, kept - new_tp, new_sum
+
+
+def _streamed(
+    ds: EvalDataset, detections: Iterable[Sequence[Detection]]
+) -> Iterator[ImageEntries]:
+    """Each image's ``detections`` with its ground truths from ``ds``, one image at a time.
+
+    An image's detections may come once, and only for an image of ``ds``.
+    The dataset is checked after the last of them, so an error that
+    reading them raises comes first.
+    """
+    seen = set()
+    for dets in detections:
+        if not dets:
+            continue
+        image_id = dets[0].image_id
+        if image_id in seen or image_id not in ds.images:
+            raise ValueError(
+                f"image {image_id!r}: detections must come once, for an image of the dataset"
+            )
+        seen.add(image_id)
+        entry = ImageEntries(tuple(dets), ds.images[image_id].ground_truths)
+        _check_filed(image_id, entry)
+        yield entry
+    _check_dataset(ds)
 
 
 def _roc_curve(
@@ -294,27 +327,33 @@ def _roc_curve(
     x_semantics: XSemantics,
     y_semantics: YSemantics,
     iou_threshold: float,
+    detections: Iterable[Sequence[Detection]] | None,
 ) -> Curve:
-    _check_dataset(ds)
+    if detections is None:
+        _check_dataset(ds)
     _check_matcher(matcher)
     _check_iou_threshold(iou_threshold)
     # Every image emits an event at each of its distinct scores, so the
     # summed changes are keyed by exactly the dataset's distinct scores.
-    # A key keeps the score it was first given: of equal scores such as
-    # 0.0 and -0.0, the first in image and detection order names the
-    # threshold.
     changes: dict[float, list[int]] = {}
-    for entry in ds.images.values():
+    zeros: dict[str, float] = {}  # image id -> the score of its event at zero
+    for entry in ds.images.values() if detections is None else _streamed(ds, detections):
         for score, tp, fp, iou_sum in _image_events(entry, matcher, iou_threshold):
+            if score == 0.0:
+                zeros[entry.detections[0].image_id] = score
             change = changes.setdefault(score, [0, 0, 0])
             change[0] += tp
             change[1] += fp
             change[2] += iou_sum
+    # 0.0 and -0.0 are one threshold, named by the first image in the
+    # dataset's order that has an event there, whatever order the images
+    # were swept in.
+    zero = next((zeros[image_id] for image_id in ds.images if image_id in zeros), 0.0)
     n_images = len(ds.images)
     points = [CurvePoint(x=0.0, y=0.0, threshold=math.inf)]  # nothing kept
     tp = fp = iou_sum = 0
     for threshold in sorted(changes, reverse=True):
-        change = changes[threshold]
+        change = changes.pop(threshold)  # freed as its point is built
         tp += change[0]
         fp += change[1]
         iou_sum += change[2]
@@ -326,29 +365,59 @@ def _roc_curve(
         x = float(fp)
         if x_semantics is XSemantics.FP_PER_IMAGE:
             x /= n_images
-        points.append(CurvePoint(x=x, y=y, threshold=threshold))
+        points.append(CurvePoint(x=x, y=y, threshold=threshold if threshold else zero))
     return Curve(points=tuple(points), x_semantics=x_semantics, y_semantics=y_semantics)
 
 
 def discrete_roc(
-    ds: EvalDataset, matcher: str = "greedy", *, iou_threshold: float = _MATCH_IOU
+    ds: EvalDataset,
+    matcher: str = "greedy",
+    *,
+    iou_threshold: float = _MATCH_IOU,
+    detections: Iterable[Sequence[Detection]] | None = None,
 ) -> Curve:
-    """ROC over total false-positive count; each match counts as 1."""
-    return _roc_curve(ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_DISCRETE, iou_threshold)
+    """ROC over total false-positive count; each match counts as 1.
+
+    ``detections``, when given, holds one image's detections at a time
+    (each image of ``ds`` at most once, in any order) and replaces the
+    detections of ``ds``, which then supplies only the ground truths;
+    each image is swept as it comes and then dropped.
+    """
+    return _roc_curve(
+        ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_DISCRETE, iou_threshold, detections
+    )
 
 
 def continuous_roc(
-    ds: EvalDataset, matcher: str = "greedy", *, iou_threshold: float = _MATCH_IOU
+    ds: EvalDataset,
+    matcher: str = "greedy",
+    *,
+    iou_threshold: float = _MATCH_IOU,
+    detections: Iterable[Sequence[Detection]] | None = None,
 ) -> Curve:
-    """ROC where each qualifying match contributes its IoU instead of 1."""
-    return _roc_curve(ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_CONTINUOUS, iou_threshold)
+    """ROC where each qualifying match contributes its IoU instead of 1.
+
+    ``detections`` is as for :func:`discrete_roc`.
+    """
+    return _roc_curve(
+        ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_CONTINUOUS, iou_threshold, detections
+    )
 
 
 def normalized_fp_roc(
-    ds: EvalDataset, matcher: str = "greedy", *, iou_threshold: float = _MATCH_IOU
+    ds: EvalDataset,
+    matcher: str = "greedy",
+    *,
+    iou_threshold: float = _MATCH_IOU,
+    detections: Iterable[Sequence[Detection]] | None = None,
 ) -> Curve:
-    """Discrete ROC with false positives divided by the image count."""
-    return _roc_curve(ds, matcher, XSemantics.FP_PER_IMAGE, YSemantics.TPR_DISCRETE, iou_threshold)
+    """Discrete ROC with false positives divided by the image count.
+
+    ``detections`` is as for :func:`discrete_roc`.
+    """
+    return _roc_curve(
+        ds, matcher, XSemantics.FP_PER_IMAGE, YSemantics.TPR_DISCRETE, iou_threshold, detections
+    )
 
 
 def proposal_recall(

@@ -566,6 +566,69 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"facemetrics: error: {error}\n"
 
+    @pytest.mark.parametrize("top", [[], ["--top", "1"]], ids=["all", "top-1"])
+    @pytest.mark.parametrize(
+        "gt, det, error",
+        [
+            (
+                "a\n1\n0 0 10 10\n",
+                "zzz\n1\n0 0 10 10 0.9\na\n1\n0 0 10 x 0.5\n",
+                "line 6: expected a number, got 'x'",
+            ),
+            (
+                "",
+                "a\n1\n0 0 10\n",
+                "line 3: expected 4 fields (rect), 5 (scored rect) or 6 (ellipse), got 3",
+            ),
+            (
+                "a\n1\n0 0 10 10\nb\n1\n0 0 10 10\n",
+                "a\n1\n10 5 0 20 20 1\nb\n1\n0 0 10 10 x\n",
+                "line 6: expected a number, got 'x'",
+            ),
+            (
+                "a\n1\n0 0 10 10\n",
+                "zzz\n0\na\n1\n0 0 10 10 0.9\nzzz\n0\n",
+                "line 6: duplicate image id 'zzz' (first seen on line 1)",
+            ),
+            (
+                "a\n1\n0 0 10 10\nb\n1\n0 0 10 10\n",
+                "b\n1\n0 0 10 10\na\n1\n10 5 0 20 20 1\n",
+                "line 3: image 'b': detection entries must carry scores",
+            ),
+            (
+                "a\n0\n",
+                "a\n2\n0 0 10 10 0.9\n0 0 10 10\n",
+                "line 4: image 'a': detection entries must carry scores",
+            ),
+            ("", "ghost\n0\n", "line 1: detections reference image 'ghost' absent from the annotations"),
+            ("a\n0\n", "a\n1\n0 0 10 10 0.9\n", "dataset has no ground truths; curves would be undefined"),
+            ("", "", "dataset has no images"),
+        ],
+        ids=[
+            "absent-then-syntax",
+            "no-images-then-syntax",
+            "ellipse-then-syntax",
+            "absent-then-repeated-id",
+            "unscored-then-ellipse",
+            "no-ground-truths-then-unscored",
+            "no-images-then-absent",
+            "no-ground-truths",
+            "no-images",
+        ],
+    )
+    def test_the_first_error_of_two_is_reported(self, gt, det, error, top, tmp_path, capsys):
+        # Syntax errors anywhere in the detection file come first, then the
+        # first detection that breaks a dataset rule, then an empty dataset.
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text(gt)
+        det_path = tmp_path / "det.txt"
+        det_path.write_text(det)
+        out = tmp_path / "curve.csv"
+        argv = ["eval", "--gt", str(gt_path), "--det", str(det_path), "--out", str(out), *top]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"facemetrics: error: {error}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_detection_score_names_its_line(self, score, tmp_path, capsys):
         det = tmp_path / "det.txt"

@@ -73,12 +73,14 @@ def _write_dataset(rng: random.Random, tmp_path, angle_unit: str = "radians"):
     Eight images: boxes and ellipses, a detection pool that ties scores
     (``0.0`` and ``-0.0`` among them) within and across images, one image
     without ground truths, one listed with no detections and one missing
-    from the detection file.  Ellipse angles are written in ``angle_unit``.
+    from the detection file.  The detection file lists its images in a
+    seeded order of their own, so the image that names a tied threshold
+    comes from the annotation order, not the detection file's.  Ellipse
+    angles are written in ``angle_unit``.
     """
     scores = [0.0, -0.0, 0.5, rng.random(), rng.random()]
     gt_lines: list[str] = []
-    det_lines: list[str] = []
-    det_region_lines: list[int] = []
+    det_blocks: list[tuple[str, list[str]]] = []
     for idx in range(8):
         image_id = f"img/{idx}"
         gts = []
@@ -111,6 +113,10 @@ def _write_dataset(rng: random.Random, tmp_path, angle_unit: str = "radians"):
             else:
                 score = rng.choice(scores) if rng.random() < 0.5 else rng.random()
             dets.append(f"{x!r} {y!r} {w!r} {h!r} {score!r}")
+        det_blocks.append((image_id, dets))
+    det_lines: list[str] = []
+    det_region_lines: list[int] = []
+    for image_id, dets in rng.sample(det_blocks, len(det_blocks)):
         det_lines += [image_id, str(len(dets))]
         det_region_lines += range(len(det_lines) + 1, len(det_lines) + len(dets) + 1)
         det_lines += dets

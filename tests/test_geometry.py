@@ -309,6 +309,19 @@ def test_polygon_and_clip_reject_a_non_finite_vertex_and_keep_huge_finite_ones()
     assert clip_polygon_to_rect(huge, Rect(0.0, 0.0, 1.75e308, 1.75e308)) == huge
 
 
+def test_a_polygon_wider_than_the_float_range_and_thin_keeps_its_area():
+    # Its sides pass the float range on one axis, while the other holds
+    # coordinates so small that one scale for both axes rounds them to 0.
+    area = 2.0 * (1e308 * 1e-300)
+    assert area == pytest.approx(2e8, rel=1e-15)
+    wide = [(-1e308, 0.0), (1e308, 0.0), (1e308, 1e-300), (-1e308, 1e-300)]
+    assert Polygon(wide).area == area
+    assert Polygon([(y, -x) for x, y in wide]).area == area
+    # Just below the float range it is finite; past it, inf, not an OverflowError.
+    assert Polygon([(-1e308, 0.0), (1e308, 0.0), (1e308, 0.5), (-1e308, 0.5)]).area == 1e308
+    assert Polygon([(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0), (-1e308, 1.0)]).area == math.inf
+
+
 def test_ellipse_validation():
     with pytest.raises(ValueError):
         Ellipse(center_x=0, center_y=0, semi_major=2.0, semi_minor=0.0, angle=0.0)
@@ -581,7 +594,19 @@ def test_nms_score_tie_breaks_by_input_index():
     assert nms([b, a], 0.5) == [b]
 
 
-def test_every_score_ranked_visit_takes_descending_score_then_index():
+def _continuous_eval(tmp_path, gt_lines, det_lines, flags=()):
+    """``eval --mode continuous`` on one image ``img``; returns the curve file's text."""
+    paths = {}
+    for name, lines in (("gt", gt_lines), ("det", det_lines)):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text("\n".join(["img", str(len(lines)), *lines]) + "\n")
+    out = tmp_path / "curve.csv"
+    argv = ["eval", "--gt", str(paths["gt"]), "--det", str(paths["det"]), "--mode", "continuous"]
+    assert cli.main([*argv, *flags, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def test_every_score_ranked_visit_takes_descending_score_then_index(tmp_path):
     # Heavy ties, 0.0 and -0.0 mixed (they compare equal, so they tie too).
     rng = random.Random(6)
     for _ in range(30):
@@ -604,9 +629,17 @@ def test_every_score_ranked_visit_takes_descending_score_then_index():
         gts = [GroundTruth(region=boxes[0], image_id="img")] * n
         pairs = matching.match_greedy(same, gts, 0.5).pairs
         assert [p.detection for p in sorted(pairs, key=lambda p: p.ground_truth)] == expected
-        # eval --top keeps the first k of that order, in input order.
-        capped = cli._cap_detections(EvalDataset.from_images({"img": (dets, [])}), k)
-        assert list(capped.images["img"].detections) == [dets[i] for i in sorted(expected[:k])]
+        # eval --top keeps the first k of that order, in input order.  Box i
+        # overlaps its own ground truth alone, at an IoU no other box has, so
+        # the continuous curve tells which boxes were kept, and the sign of a
+        # zero threshold tells their order.
+        cap = max(k, 1)
+        gt_lines = [f"{b.x_min!r} 0.0 1.0 {1.0 + (i + 1) / (n + 1)!r}" for i, b in enumerate(boxes)]
+        det_lines = [f"{b.x_min!r} 0.0 1.0 1.0 {s!r}" for b, s in zip(boxes, scores)]
+        kept_lines = [det_lines[i] for i in sorted(expected[:cap])]
+        assert _continuous_eval(tmp_path, gt_lines, det_lines, ["--top", str(cap)]) == (
+            _continuous_eval(tmp_path, gt_lines, kept_lines)
+        )
 
 
 def test_score_order_matches_the_explicit_score_then_index_key():

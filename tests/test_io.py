@@ -22,6 +22,7 @@ from facemetrics.io import (
     parse_region_list,
     parse_scored_rects,
     read_curve,
+    read_detections,
     write_curve,
 )
 from facemetrics.matching import Detection, GroundTruth
@@ -269,6 +270,26 @@ class TestBuildDataset:
         assert built.entries[0].line == 0
         with pytest.raises(ValueError, match=r"^image 'img': detection entries must carry scores$"):
             build_dataset(annotations, built)
+
+
+
+class TestReadDetections:
+    TEXT = "a\n3\n0 0 1 1 0.5\n0 0 1 1 0.9\n0 0 1 1 0.5\nb\n0\nzzz\n1\n0 0 1 1 0.5\n"
+
+    def test_yields_each_block_in_turn_capped_in_input_order(self):
+        blocks = read_detections(self.TEXT, {"a", "b"}, top=2)
+        assert [(d.score, d.image_id) for d in next(blocks)] == [(0.5, "a"), (0.9, "a")]
+        assert next(blocks) == ()
+        # A block that breaks a dataset rule raises once the text has parsed.
+        with pytest.raises(ParseError, match="^line 8: detections reference image 'zzz' absent"):
+            next(blocks)
+
+    def test_a_malformed_line_comes_before_an_earlier_rule_error(self):
+        blocks = read_detections(self.TEXT + "c\n1\n0 0 1\n", {"a", "b"})
+        with pytest.raises(ParseError, match="^line 13: expected 4 fields"):
+            list(blocks)
+        with pytest.raises(ValueError, match="^angle_unit must be one of"):
+            read_detections(self.TEXT, {"a"}, angle_unit="turns")
 
 
 def _sample_curve() -> Curve:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -289,6 +290,69 @@ def test_roc_equals_rematch_oracle_bit_for_bit():
     # Every edge case the sweep must handle came up at least a few times.
     assert min(seen.values()) >= 5, seen
     assert len(seen) == 4
+
+
+def _with_signed_zeros(ds, rng):
+    """``ds`` with a seeded share of its scores set to ``0.0`` or ``-0.0``."""
+    images = {}
+    for image_id, (dets, gts) in ds.images.items():
+        dets = [
+            dataclasses.replace(d, score=rng.choice((0.0, -0.0))) if rng.random() < 0.3 else d
+            for d in dets
+        ]
+        images[image_id] = (dets, gts)
+    return EvalDataset.from_images(images)
+
+
+def test_streamed_detections_give_the_dataset_curve_in_any_image_order():
+    # repr tells 0.0 from -0.0, which compare equal.
+    rng = random.Random(27)
+    for ds in _rematch_oracle_datasets():
+        ds = _with_signed_zeros(ds, rng)
+        ground_truths = EvalDataset.from_images(
+            {image_id: ((), gts) for image_id, (_, gts) in ds.images.items()}
+        )
+        order = rng.sample(list(ds.images), len(ds.images))
+        for build in (discrete_roc, continuous_roc, normalized_fp_roc):
+            for matcher in ("greedy", "optimal"):
+                detections = (ds.images[image_id].detections for image_id in order)
+                streamed = build(ground_truths, matcher, detections=detections)
+                assert repr(streamed) == repr(build(ds, matcher)), (build, matcher)
+
+
+def test_a_streamed_signed_zero_tie_takes_the_sign_of_the_first_image_in_dataset_order():
+    dets = {"a": (_det(0, 0, 1, 1, 0.0, "a"),), "b": (_det(0, 0, 1, 1, -0.0, "b"),)}
+    for first, sign in (("a", 1.0), ("b", -1.0)):
+        ds = EvalDataset.from_images(
+            {image_id: ((), (_gt(0, 0, 1, 1, image_id),)) for image_id in (first, *"ab")}
+        )
+        for order in ("ab", "ba"):
+            curve = discrete_roc(ds, detections=(dets[image_id] for image_id in order))
+            assert math.copysign(1.0, curve.points[-1].threshold) == sign, (first, order)
+
+
+def test_streamed_detections_name_a_repeated_absent_or_misfiled_image():
+    ds = EvalDataset.from_images({"a": ((), (_gt(0, 0, 1, 1, "a"),))})
+    a = (_det(0, 0, 1, 1, 0.5, "a"),)
+    z = (_det(0, 0, 1, 1, 0.5, "z"),)
+    for detections, message in (
+        ([a, (), a], "image 'a': detections must come once, for an image of the dataset"),
+        ([z], "image 'z': detections must come once, for an image of the dataset"),
+        ([a + z], "detection for image 'z' filed under 'a'"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            discrete_roc(ds, detections=detections)
+        assert str(excinfo.value) == message
+    # The dataset is checked after the detections, so their own error comes first.
+    def failing():
+        yield ()
+        raise ValueError("bad detections")
+
+    for empty in (EvalDataset(images={}), EvalDataset.from_images({"a": ((), ())})):
+        with pytest.raises(ValueError, match="^bad detections$"):
+            discrete_roc(empty, detections=failing())
+    with pytest.raises(ValueError, match="^dataset has no images$"):
+        discrete_roc(EvalDataset(images={}), detections=iter(()))
 
 
 def _crowd_dataset(rng):
