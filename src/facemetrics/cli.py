@@ -30,10 +30,10 @@ Each flag sets the :class:`RunConfig` field named after it (``--in``,
 a keyword, sets ``input_path``), and a flag left out keeps that field's
 default, so every default is stated once; the ``(default ...)`` notes in
 ``--help`` are rendered from those fields too.  A range rule that a
-library function owns (the IoU threshold, the matcher, the proposal
-budgets and IoU grid, the anchor grid, the resize size and mode) is
-checked by calling that owner before any work, so its error names the
-library parameter.
+library function owns (the IoU threshold, the matcher, the ``--top``
+cap, the ``--query-fp`` value, the proposal budgets and IoU grid, the
+anchor grid, the resize size and mode) is checked by calling that owner
+before any work, so its error names the library parameter.
 ``--threads`` is accepted for compatibility and must be at least 1;
 every subcommand runs on one thread and the value changes nothing.
 Ellipse areas use the IoU layer's fixed 1024-vertex polygon, which no
@@ -45,12 +45,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import os
 import stat
 import sys
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from ._version import __version__
 from .anchors import _LONG_SIDE, _RESIZE_MODES, _SHORT_SIDE, DEFAULT_ANCHOR_SPEC, AnchorSpec
@@ -59,6 +58,7 @@ from .geometry import _check_iou_threshold, nms
 from .io import (
     _ANGLE_UNITS,
     _FORMATS,
+    _check_top,
     AnnotationFile,
     ParseError,
     build_dataset,
@@ -72,6 +72,7 @@ from .matching import Detection
 from .metrics import (
     _MATCH_IOU,
     _check_matcher,
+    _check_query_x,
     _check_recall_grid,
     MATCHERS,
     Curve,
@@ -103,17 +104,13 @@ _EVAL_MODES = tuple(_MODE_BUILDERS)
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Validated flag set for one invocation.
+    """Validated flag set for one invocation, one field per flag (see the module docstring).
 
-    One type covers every subcommand; each field is named after the flag
-    that sets it (``input_path`` after ``--in``), and its default is that
-    flag's default (fields a subcommand does not use keep theirs).
-    ``width`` and ``height`` are grid cells for ``anchors`` and pixels
-    for ``resize-plan``.  Construction performs all validation, so a
-    ``RunConfig`` that exists is safe to run: nothing is read, computed,
-    or written before the whole configuration has been checked.  Range
-    rules that a library function owns are checked by calling that owner,
-    and only the rules no library states are written out here.
+    One type covers every subcommand; fields a subcommand does not use
+    keep their defaults.  ``width`` and ``height`` are grid cells for
+    ``anchors`` and pixels for ``resize-plan``.  Construction performs all
+    validation, so nothing is read, computed or written before the whole
+    configuration has been checked.
     """
 
     subcommand: str
@@ -155,10 +152,9 @@ class RunConfig:
             if self.mode not in _EVAL_MODES:
                 raise ValueError(f"--mode must be one of {_EVAL_MODES}, got {self.mode!r}")
             _check_matcher(self.matcher)
-            if self.top is not None and self.top < 1:
-                raise ValueError(f"--top must be >= 1, got {self.top}")
-            if self.query_fp is not None and math.isnan(self.query_fp):
-                raise ValueError("--query-fp must not be NaN")
+            _check_top(self.top)
+            if self.query_fp is not None:
+                _check_query_x(self.query_fp)
         elif self.subcommand == "proposal-recall":
             _check_recall_grid(self.top_n, self.iou_thresholds)
             if self.out == "-" and len(self.top_n) > 1:
@@ -231,40 +227,31 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _load_dataset(config: RunConfig) -> EvalDataset:
-    annotations = parse_region_list(_read_text(config.gt), angle_unit=config.angle_unit)
-    detections = parse_region_list(_read_text(config.det), angle_unit=config.angle_unit)
-    return build_dataset(annotations, detections)
-
-
-def _summarize(curve: Curve, query_x: float | None) -> str:
-    if query_x is not None:
-        y = curve_query(curve, query_x)
-        return (
-            f"{curve.y_semantics.value}={y:.6g}"
-            f" at {curve.x_semantics.value}={query_x:.6g}"
-        )
-    last = curve.points[-1]
-    return (
-        f"{curve.y_semantics.value}={last.y:.6g}"
-        f" at {curve.x_semantics.value}={last.x:.6g} (score threshold {last.threshold:.6g})"
-    )
-
-
-def cmd_eval(config: RunConfig) -> int:
-    """Write the curve of ``config.mode`` and print its summary line to stderr.
-
-    The ground truths are read whole.  The detection file is read one
-    image block at a time: each block is parsed, checked, capped to
-    ``config.top`` and swept, then dropped, so memory grows with the
-    largest image and the distinct scores, not with every detection.
-    The first error is the one reading the whole file would raise.
-    """
+def _read_inputs(config: RunConfig) -> tuple[EvalDataset, Iterator[tuple[Detection, ...]]]:
+    """The ground truths, read whole, and the detection file's image blocks, read as swept."""
     annotations = parse_region_list(_read_text(config.gt), angle_unit=config.angle_unit)
     ds = build_dataset(annotations, AnnotationFile(()))
     detections = read_detections(
         _read_text(config.det), ds.images, angle_unit=config.angle_unit, top=config.top
     )
+    return ds, detections
+
+
+def _summarize(curve: Curve, query_x: float | None) -> str:
+    x_name, y_name = curve.x_semantics.value, curve.y_semantics.value
+    if query_x is not None:
+        return f"{y_name}={curve_query(curve, query_x):.6g} at {x_name}={query_x:.6g}"
+    last = curve.points[-1]
+    return f"{y_name}={last.y:.6g} at {x_name}={last.x:.6g} (score threshold {last.threshold:.6g})"
+
+
+def cmd_eval(config: RunConfig) -> int:
+    """Write the curve of ``config.mode`` and print its summary line to stderr.
+
+    Each detection block is swept as it is read, then dropped, so memory
+    grows with the largest image and the distinct scores.
+    """
+    ds, detections = _read_inputs(config)
     build = _MODE_BUILDERS[config.mode]
     curve = build(ds, config.matcher, iou_threshold=config.iou, detections=detections)
     text = write_curve(
@@ -276,8 +263,9 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_proposal_recall(config: RunConfig) -> int:
-    ds = _load_dataset(config)
-    curves = proposal_recall(ds, config.top_n, config.iou_thresholds)
+    """Write one recall curve per ``config.top_n`` budget, reading detections as ``eval`` does."""
+    ds, detections = _read_inputs(config)
+    curves = proposal_recall(ds, config.top_n, config.iou_thresholds, detections=detections)
     for n, curve in zip(config.top_n, curves):
         text = write_curve(curve, config.format, dataset_name=config.dataset_name)
         path = "-" if config.out == "-" else f"{config.out}{n}.{config.format}"

@@ -16,8 +16,7 @@ convention.  Parsing is strict: any malformed line raises
 :class:`ParseError` with a 1-based line number, and region counts must
 match exactly.  Silent recovery would quietly corrupt evaluation
 results, so there is none.  :func:`read_detections` reads a detection
-file one image block at a time, under the same rules and with the same
-first error as :func:`parse_region_list` then :func:`build_dataset`.
+file one image block at a time, under the same rules.
 
 Writers are canonical: the same curve (and metadata) always serializes
 to byte-identical UTF-8 text with LF newlines, numbers rendered with 6
@@ -302,12 +301,18 @@ def read_detections(
     the first error is the one those two would raise: any malformed line
     of the file first, then the first block that breaks a dataset rule.
     So that second kind is raised only once the whole text has parsed,
-    after the blocks before it were yielded.  With ``top``, a block keeps
-    its ``top`` best-scored detections (ties by input order), in input
-    order.  The text is split into lines at once and not kept.
+    after the blocks before it were yielded.  With ``top``, an int of at
+    least 1 (checked at the call), a block keeps its ``top`` best-scored
+    detections (ties by input order), in input order.
     """
     _check_angle_unit(angle_unit)
+    _check_top(top)
     return _detection_blocks(_entries(text.splitlines(), angle_unit), image_ids, top)
+
+
+def _check_top(top: int | None) -> None:
+    if top is not None and (isinstance(top, bool) or not isinstance(top, int) or top < 1):
+        raise ValueError(f"top must be an int >= 1, got {top!r}")
 
 
 def _detection_blocks(

@@ -20,10 +20,12 @@ The events are summed by score, and those sums, keyed by every distinct
 score in the dataset, are accumulated in descending score order after
 the empty point at +infinity; no second scan collects the thresholds.
 Work grows with the detections, not with images times distinct scores.
-The sweep takes the images one at a time, from the dataset or, through
-a builder's ``detections``, from a stream such as
-:func:`~facemetrics.io.read_detections`, in any image order.  With a
-stream, memory grows with the largest image plus the distinct scores.
+Every curve builder, :func:`proposal_recall` too, takes its images one
+at a time through one path, with the dataset's own detections or, through
+its ``detections``, a stream such as :func:`~facemetrics.io.read_detections`
+that replaces them, in any image order; an error the stream raises comes
+before the dataset's own checks.  With a stream, memory grows with the
+largest image plus the distinct scores.
 
 True positives are matched detections; everything else kept at the
 threshold is a false positive.  The discrete criterion counts each
@@ -250,8 +252,6 @@ def _image_events(
     other clusters keep their pairs.
     """
     dets, gts = entry
-    if not dets:
-        return
     matrix = iou_matrix(dets, gts)
     scores = [d.score for d in dets]
     by_score = _score_order(scores)
@@ -297,14 +297,16 @@ def _image_events(
 
 
 def _streamed(
-    ds: EvalDataset, detections: Iterable[Sequence[Detection]]
+    ds: EvalDataset, detections: Iterable[Sequence[Detection]] | None
 ) -> Iterator[ImageEntries]:
-    """Each image's ``detections`` with its ground truths from ``ds``, one image at a time.
+    """Each image's ``detections`` (``None``: those of ``ds``) with its ground truths from ``ds``.
 
     An image's detections may come once, and only for an image of ``ds``.
     The dataset is checked after the last of them, so an error that
     reading them raises comes first.
     """
+    if detections is None:
+        detections = (entry.detections for entry in ds.images.values())
     seen = set()
     for dets in detections:
         if not dets:
@@ -329,15 +331,13 @@ def _roc_curve(
     iou_threshold: float,
     detections: Iterable[Sequence[Detection]] | None,
 ) -> Curve:
-    if detections is None:
-        _check_dataset(ds)
     _check_matcher(matcher)
     _check_iou_threshold(iou_threshold)
     # Every image emits an event at each of its distinct scores, so the
     # summed changes are keyed by exactly the dataset's distinct scores.
     changes: dict[float, list[int]] = {}
     zeros: dict[str, float] = {}  # image id -> the score of its event at zero
-    for entry in ds.images.values() if detections is None else _streamed(ds, detections):
+    for entry in _streamed(ds, detections):
         for score, tp, fp, iou_sum in _image_events(entry, matcher, iou_threshold):
             if score == 0.0:
                 zeros[entry.detections[0].image_id] = score
@@ -378,10 +378,8 @@ def discrete_roc(
 ) -> Curve:
     """ROC over total false-positive count; each match counts as 1.
 
-    ``detections``, when given, holds one image's detections at a time
-    (each image of ``ds`` at most once, in any order) and replaces the
-    detections of ``ds``, which then supplies only the ground truths;
-    each image is swept as it comes and then dropped.
+    ``detections``, one image's at a time (each image at most once, in any
+    order), replaces those of ``ds``; each image is swept, then dropped.
     """
     return _roc_curve(
         ds, matcher, XSemantics.FP_COUNT, YSemantics.TPR_DISCRETE, iou_threshold, detections
@@ -424,13 +422,16 @@ def proposal_recall(
     ds: EvalDataset,
     n_values: Sequence[int],
     iou_thresholds: Sequence[float],
+    *,
+    detections: Iterable[Sequence[Detection]] | None = None,
 ) -> list[Curve]:
     """Detection rate of the top-N proposals per image, by IoU threshold.
 
     Returns one curve per entry of ``n_values`` (in the given order);
     each curve's x axis is the IoU threshold.  The denominator is every
     ground truth in the dataset, including those on images without any
-    proposal.
+    proposal.  ``detections`` replaces the proposals of ``ds`` as for
+    :func:`discrete_roc`.
 
     Each image's top-N proposals are matched once per budget, greedily
     by descending IoU, and each pair adds one to the running count of
@@ -438,12 +439,11 @@ def proposal_recall(
     threshold form a prefix of the IoU-sorted candidate list, this
     equals re-matching at every threshold.
     """
-    _check_dataset(ds)
     _check_recall_grid(n_values, iou_thresholds)
     thresholds = sorted(iou_thresholds)
     top = max(n_values)
     matched = [[0] * len(thresholds) for _ in n_values]
-    for dets, gts in ds.images.values():
+    for dets, gts in _streamed(ds, detections):
         top_rows = _score_order([d.score for d in dets])[:top]
         matrix = iou_matrix([dets[i] for i in top_rows], gts)
         for counts, n in zip(matched, n_values):
@@ -465,6 +465,11 @@ def proposal_recall(
     ]
 
 
+def _check_query_x(x: float) -> None:
+    if math.isnan(x):
+        raise ValueError("query x must not be NaN")
+
+
 def curve_query(curve: Curve, x: float) -> float:
     """Step interpolation: y of the last point with point-x <= x.
 
@@ -474,8 +479,7 @@ def curve_query(curve: Curve, x: float) -> float:
     """
     if not curve.points:
         raise ValueError("cannot query an empty curve")
-    if math.isnan(x):
-        raise ValueError("query x must not be NaN")
+    _check_query_x(x)
     result = curve.points[0].y
     for point in curve.points:
         if point.x <= x:

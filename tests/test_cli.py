@@ -442,6 +442,57 @@ class TestResizePlan:
             assert "resize_scale requires positive, finite dimensions" in captured.err
 
 
+# A detection file with two faults, and the error reported for it: syntax
+# errors anywhere come first, then the first detection that breaks a dataset
+# rule, then an empty dataset.
+_FIRST_ERRORS = [
+    (
+        "a\n1\n0 0 10 10\n",
+        "zzz\n1\n0 0 10 10 0.9\na\n1\n0 0 10 x 0.5\n",
+        "line 6: expected a number, got 'x'",
+    ),
+    (
+        "",
+        "a\n1\n0 0 10\n",
+        "line 3: expected 4 fields (rect), 5 (scored rect) or 6 (ellipse), got 3",
+    ),
+    (
+        "a\n1\n0 0 10 10\nb\n1\n0 0 10 10\n",
+        "a\n1\n10 5 0 20 20 1\nb\n1\n0 0 10 10 x\n",
+        "line 6: expected a number, got 'x'",
+    ),
+    (
+        "a\n1\n0 0 10 10\n",
+        "zzz\n0\na\n1\n0 0 10 10 0.9\nzzz\n0\n",
+        "line 6: duplicate image id 'zzz' (first seen on line 1)",
+    ),
+    (
+        "a\n1\n0 0 10 10\nb\n1\n0 0 10 10\n",
+        "b\n1\n0 0 10 10\na\n1\n10 5 0 20 20 1\n",
+        "line 3: image 'b': detection entries must carry scores",
+    ),
+    (
+        "a\n0\n",
+        "a\n2\n0 0 10 10 0.9\n0 0 10 10\n",
+        "line 4: image 'a': detection entries must carry scores",
+    ),
+    ("", "ghost\n0\n", "line 1: detections reference image 'ghost' absent from the annotations"),
+    ("a\n0\n", "a\n1\n0 0 10 10 0.9\n", "dataset has no ground truths; curves would be undefined"),
+    ("", "", "dataset has no images"),
+]
+_FIRST_ERROR_IDS = [
+    "absent-then-syntax",
+    "no-images-then-syntax",
+    "ellipse-then-syntax",
+    "absent-then-repeated-id",
+    "unscored-then-ellipse",
+    "no-ground-truths-then-unscored",
+    "no-images-then-absent",
+    "no-ground-truths",
+    "no-images",
+]
+
+
 class TestExitCodes:
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -567,55 +618,7 @@ class TestExitCodes:
         assert captured.err == f"facemetrics: error: {error}\n"
 
     @pytest.mark.parametrize("top", [[], ["--top", "1"]], ids=["all", "top-1"])
-    @pytest.mark.parametrize(
-        "gt, det, error",
-        [
-            (
-                "a\n1\n0 0 10 10\n",
-                "zzz\n1\n0 0 10 10 0.9\na\n1\n0 0 10 x 0.5\n",
-                "line 6: expected a number, got 'x'",
-            ),
-            (
-                "",
-                "a\n1\n0 0 10\n",
-                "line 3: expected 4 fields (rect), 5 (scored rect) or 6 (ellipse), got 3",
-            ),
-            (
-                "a\n1\n0 0 10 10\nb\n1\n0 0 10 10\n",
-                "a\n1\n10 5 0 20 20 1\nb\n1\n0 0 10 10 x\n",
-                "line 6: expected a number, got 'x'",
-            ),
-            (
-                "a\n1\n0 0 10 10\n",
-                "zzz\n0\na\n1\n0 0 10 10 0.9\nzzz\n0\n",
-                "line 6: duplicate image id 'zzz' (first seen on line 1)",
-            ),
-            (
-                "a\n1\n0 0 10 10\nb\n1\n0 0 10 10\n",
-                "b\n1\n0 0 10 10\na\n1\n10 5 0 20 20 1\n",
-                "line 3: image 'b': detection entries must carry scores",
-            ),
-            (
-                "a\n0\n",
-                "a\n2\n0 0 10 10 0.9\n0 0 10 10\n",
-                "line 4: image 'a': detection entries must carry scores",
-            ),
-            ("", "ghost\n0\n", "line 1: detections reference image 'ghost' absent from the annotations"),
-            ("a\n0\n", "a\n1\n0 0 10 10 0.9\n", "dataset has no ground truths; curves would be undefined"),
-            ("", "", "dataset has no images"),
-        ],
-        ids=[
-            "absent-then-syntax",
-            "no-images-then-syntax",
-            "ellipse-then-syntax",
-            "absent-then-repeated-id",
-            "unscored-then-ellipse",
-            "no-ground-truths-then-unscored",
-            "no-images-then-absent",
-            "no-ground-truths",
-            "no-images",
-        ],
-    )
+    @pytest.mark.parametrize("gt, det, error", _FIRST_ERRORS, ids=_FIRST_ERROR_IDS)
     def test_the_first_error_of_two_is_reported(self, gt, det, error, top, tmp_path, capsys):
         # Syntax errors anywhere in the detection file come first, then the
         # first detection that breaks a dataset rule, then an empty dataset.
@@ -628,6 +631,21 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"facemetrics: error: {error}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("gt, det, error", _FIRST_ERRORS, ids=_FIRST_ERROR_IDS)
+    def test_proposal_recall_reports_the_first_error_as_eval_does(
+        self, gt, det, error, tmp_path, capsys
+    ):
+        # Both subcommands read their inputs one way, so the same faults give
+        # the same first error, as they did when proposal-recall read the
+        # whole detection file before matching.
+        (tmp_path / "gt.txt").write_text(gt)
+        (tmp_path / "det.txt").write_text(det)
+        argv = ["proposal-recall", "--gt", str(tmp_path / "gt.txt"),
+                "--det", str(tmp_path / "det.txt"), "--out", str(tmp_path / "recall_")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"facemetrics: error: {error}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["det.txt", "gt.txt"]
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_detection_score_names_its_line(self, score, tmp_path, capsys):
@@ -707,10 +725,13 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, error",
         [
-            (["eval", "--gt", GT_PATH, "--det", DET_PATH, "--top", "0"], "--top must be >= 1"),
+            (
+                ["eval", "--gt", GT_PATH, "--det", DET_PATH, "--top", "0"],
+                "top must be an int >= 1, got 0",
+            ),
             (
                 ["eval", "--gt", GT_PATH, "--det", DET_PATH, "--query-fp", "nan"],
-                "--query-fp must not be NaN",
+                "query x must not be NaN",
             ),
             (
                 ["proposal-recall", "--gt", GT_PATH, "--det", DET_PATH, "--top-n", "5",

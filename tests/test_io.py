@@ -291,6 +291,18 @@ class TestReadDetections:
         with pytest.raises(ValueError, match="^angle_unit must be one of"):
             read_detections(self.TEXT, {"a"}, angle_unit="turns")
 
+    @pytest.mark.parametrize("top", [0, -1, True, False, 2.0])
+    def test_rejects_a_top_that_is_not_an_int_of_at_least_1_at_the_call(self, top):
+        # Checked before the first block: top=-1 once dropped each image's
+        # lowest-ranked detection, top=0 every detection, and True acted as 1.
+        with pytest.raises(ValueError) as excinfo:
+            read_detections(self.TEXT, {"a", "b"}, top=top)
+        assert str(excinfo.value) == f"top must be an int >= 1, got {top!r}"
+
+    def test_top_1_keeps_each_block_s_best_detection(self):
+        blocks = read_detections(self.TEXT, {"a", "b", "zzz"}, top=1)
+        assert [[d.score for d in block] for block in blocks] == [[0.9], [], [0.5]]
+
 
 def _sample_curve() -> Curve:
     return Curve(

@@ -7,7 +7,7 @@ import pytest
 
 import facemetrics.matching
 import facemetrics.metrics
-from facemetrics.geometry import Rect
+from facemetrics.geometry import Ellipse, Rect
 from facemetrics.matching import Detection, GroundTruth, match_optimal
 from facemetrics.metrics import (
     Curve,
@@ -353,6 +353,59 @@ def test_streamed_detections_name_a_repeated_absent_or_misfiled_image():
             discrete_roc(empty, detections=failing())
     with pytest.raises(ValueError, match="^dataset has no images$"):
         discrete_roc(EvalDataset(images={}), detections=iter(()))
+
+
+def test_streamed_proposals_give_the_dataset_recall_in_any_image_order():
+    # Both the recall and the ROC builders take their images through one path:
+    # shuffled blocks, with empty ones among them, give the dataset's own curves.
+    rng = random.Random(28)
+    n_values, grid = [0, 1, 2, 5], [0.1, 0.5, 0.75, 0.9]
+    seen = Counter()
+    for ds in _rematch_oracle_datasets():
+        ds = _with_signed_zeros(ds, rng)
+        entries = ds.images.values()
+        scores = [d.score for e in entries for d in e.detections]
+        seen["score tie"] += len(set(scores)) < len(scores)
+        seen["0.0 and -0.0"] += len({math.copysign(1.0, s) for s in scores if s == 0.0}) == 2
+        seen["image without detections"] += any(not e.detections for e in entries)
+        seen["image without ground truths"] += any(not e.ground_truths for e in entries)
+        kinds = {type(g.region) for e in entries for g in e.ground_truths}
+        seen["rect and ellipse ground truths"] += kinds == {Rect, Ellipse}
+        ground_truths = EvalDataset.from_images(
+            {image_id: ((), gts) for image_id, (_, gts) in ds.images.items()}
+        )
+        blocks = [e.detections for e in entries] + [()] * rng.randint(1, 3)
+        rng.shuffle(blocks)
+        streamed = proposal_recall(ground_truths, n_values, grid, detections=iter(blocks))
+        assert streamed == proposal_recall(ds, n_values, grid)
+        # repr tells 0.0 from -0.0, which compare equal.
+        streamed = discrete_roc(ground_truths, detections=iter(blocks))
+        assert repr(streamed) == repr(discrete_roc(ds))
+    assert len(seen) == 5 and min(seen.values()) >= 5, seen
+
+
+def test_streamed_proposals_name_a_repeated_or_absent_image():
+    ds = EvalDataset.from_images({"a": ((), (_gt(0, 0, 1, 1, "a"),))})
+    a = (_det(0, 0, 1, 1, 0.5, "a"),)
+    for detections, image_id in (([a, (), a], "a"), ([(_det(0, 0, 1, 1, 0.5, "z"),)], "z")):
+        with pytest.raises(ValueError) as excinfo:
+            proposal_recall(ds, [1], [0.5], detections=detections)
+        message = f"image {image_id!r}: detections must come once, for an image of the dataset"
+        assert str(excinfo.value) == message
+
+
+def test_a_bad_argument_is_reported_before_an_empty_dataset():
+    # The dataset is checked once its images have been swept, so every
+    # argument rule comes first.
+    empty = EvalDataset(images={})
+    for build, message in (
+        (lambda: discrete_roc(empty, "perfect"), "matcher must be one of"),
+        (lambda: continuous_roc(empty, iou_threshold=1.5), "iou_threshold must be in"),
+        (lambda: proposal_recall(empty, [], [0.5]), "n_values must not be empty"),
+        (lambda: proposal_recall(empty, [1], [0.0]), "iou_thresholds must lie in"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
 
 
 def _crowd_dataset(rng):
