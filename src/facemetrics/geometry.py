@@ -59,9 +59,15 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 
 
 def _check_rect_fields(x_min: float, y_min: float, x_max: float, y_max: float) -> None:
-    """Raise the first of a Rect's field errors: a non-finite field, then inverted corners."""
+    """Raise the first of a Rect's field errors, then any inverted corners.
+
+    A field is checked for its type (an ``int`` or ``float``, not a
+    ``bool``), then for finiteness, before the next field.
+    """
     for name, value in (("x_min", x_min), ("y_min", y_min), ("x_max", x_max), ("y_max", y_max)):
-        if not math.isfinite(value):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise TypeError(f"Rect.{name} must be an int or float, got {type(value).__name__}")
+        if not -_INF < value < _INF:
             raise ValueError(f"Rect.{name} must be finite, got {value!r}")
     if x_max < x_min:
         raise ValueError(f"Rect requires x_max >= x_min, got {x_min}..{x_max}")
@@ -73,17 +79,19 @@ def _check_rect_fields(x_min: float, y_min: float, x_max: float, y_max: float) -
 class Rect:
     """Axis-aligned rectangle with min/max corners.
 
-    An immutable value with the contract of a frozen dataclass: equality
-    with other ``Rect`` objects only, the hash of the field tuple, the
-    dataclass ``repr``, and :class:`dataclasses.FrozenInstanceError` on
-    assignment or deletion.  ``dataclasses.replace``, ``fields``,
+    Each field is a finite ``int`` or ``float`` (a ``bool`` is not taken),
+    with ``x_min <= x_max`` and ``y_min <= y_max``.  An immutable value
+    with the contract of a frozen dataclass: equality with other ``Rect``
+    objects only, the hash of the field tuple, the dataclass ``repr``, and
+    :class:`dataclasses.FrozenInstanceError` on assignment or deletion.  ``dataclasses.replace``, ``fields``,
     ``asdict`` and ``astuple`` work, and ``replace`` checks its result
     through ``__init__``.
 
     It is not declared ``frozen=True``: a frozen dataclass may not define
     ``__setattr__``, and region-proposal code builds one ``Rect`` per
     anchor and per decoded box.  The hand-written ``__init__`` makes one
-    combined check, then fills the slots through their own setters.
+    combined check when all four fields are floats, and checks each field
+    in turn otherwise; it then fills the slots through their own setters.
     ``__setattr__`` and ``__delattr__`` keep instances immutable, which
     makes ``unsafe_hash=True`` safe.
     """
@@ -94,12 +102,12 @@ class Rect:
     y_max: float
 
     def __init__(self, x_min: float, y_min: float, x_max: float, y_max: float) -> None:
-        try:
-            valid = -_INF < x_min <= x_max < _INF and -_INF < y_min <= y_max < _INF
-        except (TypeError, ArithmeticError):  # a non-number, or a Decimal NaN
-            valid = False
-        if not valid:
-            # Raises the error of the first bad field (a TypeError for a non-number).
+        if not (
+            type(x_min) is type(y_min) is type(x_max) is type(y_max) is float
+            and -_INF < x_min <= x_max < _INF
+            and -_INF < y_min <= y_max < _INF
+        ):
+            # Raises the error of the first bad field, if any: ints take this path too.
             _check_rect_fields(x_min, y_min, x_max, y_max)
         _set_x_min(self, x_min)
         _set_y_min(self, y_min)

@@ -17,7 +17,9 @@ A pair is admissible when its IoU is strictly greater than the
 threshold.  The strict comparison is applied uniformly at every
 threshold (a detection at IoU exactly 0.5 does not match at the 0.5
 operating point), and it also means zero-IoU pairs never match, so
-degenerate regions stay unmatched.
+degenerate regions stay unmatched.  Only :func:`_admissible` makes this
+test: every matcher, and the ROC sweep, takes its candidates from its
+row-major list, and both greedy matchers claim them through :func:`_claim`.
 
 Both matchers are deterministic.  Greedy breaks score ties by input
 index and IoU ties by lowest ground-truth index.  Optimal breaks
@@ -41,7 +43,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
 from .geometry import _check_iou_threshold, _score_order
@@ -193,32 +195,8 @@ def _outcome(pairs: Sequence[tuple[int, int, float]], n_dets: int, n_gts: int) -
     )
 
 
-def greedy_assignment(
-    matrix: Sequence[Sequence[float]],
-    priority: Sequence[int],
-    iou_threshold: float,
-) -> list[tuple[int, int, float]]:
-    """Row-driven greedy matching on an IoU matrix.
-
-    Rows are visited in ``priority`` order; each claims the unclaimed
-    column of maximal IoU (ties: lowest column index) when that IoU
-    exceeds the threshold.
-    """
-    claimed: set[int] = set()
-    pairs = []
-    n_cols = len(matrix[0]) if matrix else 0
-    for i in priority:
-        row = matrix[i]
-        best_j = -1
-        best_iou = 0.0
-        for j in range(n_cols):
-            if j not in claimed and row[j] > best_iou:
-                best_j = j
-                best_iou = row[j]
-        if best_j >= 0 and best_iou > iou_threshold:
-            claimed.add(best_j)
-            pairs.append((i, best_j, best_iou))
-    return pairs
+# An admissible pair: (row, col, IoU).
+_Candidate = tuple[int, int, float]
 
 
 def _admissible(matrix: Sequence[Sequence[float]], iou_threshold: float) -> list[_Candidate]:
@@ -231,6 +209,39 @@ def _admissible(matrix: Sequence[Sequence[float]], iou_threshold: float) -> list
     ]
 
 
+def _claim(candidates: Iterable[_Candidate]) -> list[_Candidate]:
+    """Each candidate, in the given order, whose row and column are both still free."""
+    used_rows: set[int] = set()
+    used_cols: set[int] = set()
+    pairs = []
+    for i, j, value in candidates:
+        if i not in used_rows and j not in used_cols:
+            used_rows.add(i)
+            used_cols.add(j)
+            pairs.append((i, j, value))
+    return pairs
+
+
+def greedy_assignment(
+    matrix: Sequence[Sequence[float]],
+    priority: Sequence[int],
+    iou_threshold: float,
+) -> list[tuple[int, int, float]]:
+    """Row-driven greedy matching on an IoU matrix.
+
+    Rows are visited in ``priority`` order, distinct rows of the matrix;
+    each claims its unclaimed admissible column of maximal IoU (ties:
+    lowest column index).  Rows not in ``priority`` claim nothing.
+    """
+    rank = {i: r for r, i in enumerate(priority)}
+    if len(rank) < len(priority) or not all(0 <= i < len(matrix) for i in rank):
+        raise ValueError(f"priority must list distinct rows of a {len(matrix)}-row matrix")
+    candidates = [pair for pair in _admissible(matrix, iou_threshold) if pair[0] in rank]
+    # Stable: equal IoUs of one row keep their column order.
+    candidates.sort(key=lambda pair: (rank[pair[0]], -pair[2]))
+    return _claim(candidates)
+
+
 def greedy_assignment_by_iou(
     matrix: Sequence[Sequence[float]],
     iou_threshold: float,
@@ -241,17 +252,7 @@ def greedy_assignment_by_iou(
     row-major and a reverse sort is stable.  Used for proposal recall,
     where no score ordering is wanted.
     """
-    candidates = sorted(_admissible(matrix, iou_threshold), key=itemgetter(2), reverse=True)
-    used_rows: set[int] = set()
-    used_cols: set[int] = set()
-    pairs = []
-    for i, j, value in candidates:
-        if i in used_rows or j in used_cols:
-            continue
-        used_rows.add(i)
-        used_cols.add(j)
-        pairs.append((i, j, value))
-    return pairs
+    return _claim(sorted(_admissible(matrix, iou_threshold), key=itemgetter(2), reverse=True))
 
 
 # Every finite float is an integer multiple of 2**-1074, so IoUs kept as
@@ -315,18 +316,15 @@ def _solve(cost: list[list[int]]) -> list[int]:
     return columns
 
 
-# An admissible pair: (row, col, IoU).
-_Candidate = tuple[int, int, float]
-
-
 def _linked_rows(
     rows: list[int], row_columns: dict[int, list[int]], column_rows: dict[int, list[int]]
 ) -> list[int]:
     """``rows`` and every row linked to them through admissible pairs, ascending.
 
-    ``row_columns`` and ``column_rows`` hold the same pairs both ways.  A
-    stack walk from ``rows`` visits each column it reaches once, so it
-    costs O(pairs of the clusters it reaches).
+    ``row_columns`` maps each row to its admissible columns, and
+    ``column_rows`` maps each column to the rows the walk may reach
+    through it.  A stack walk from ``rows`` visits each column it reaches
+    once, so it costs O(pairs of the clusters it reaches).
     """
     touched = set(rows)
     stack = list(touched)

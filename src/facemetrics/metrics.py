@@ -32,8 +32,8 @@ threshold is a false positive.  The discrete criterion counts each
 match as 1; the continuous criterion weights it by its IoU instead, so
 the continuous curve is pointwise at or below the discrete one.  A pair
 must clear the matching IoU threshold (default 0.5) before its weight
-counts at all; that qualification lives in the matchers' strict
-comparison.
+counts at all; that qualification lives in the matchers' one strict
+comparison, :func:`~facemetrics.matching._admissible`.
 
 Every operating point equals a from-scratch re-match at its threshold
 (``tests/oracles.py`` keeps that re-match as the reference).  An image's
@@ -62,7 +62,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .geometry import _check_iou_threshold, _score_order
-from .matching import _EXACT_DENOMINATOR, _exact, _linked_rows
+from .matching import _EXACT_DENOMINATOR, _admissible, _exact, _linked_rows
 from .matching import (
     Detection,
     GroundTruth,
@@ -243,13 +243,14 @@ def _image_events(
 
     Greedy claims in score order, so the pairs at any cut are the first
     pairs of one full pass, and a kept row enters the map with its pair
-    from that pass.  With the optimal matcher, two maps keep the kept
-    rows' admissible pairs, row -> columns and column -> rows.  A tie
-    group whose rows have such pairs walks from them over each pair of
-    the clusters they join (:func:`~facemetrics.matching._linked_rows`,
-    the walk ``optimal_assignment`` splits its components with), then
-    takes one ``optimal_assignment`` on only those clusters' rows; the
-    other clusters keep their pairs.
+    from that pass.  With the optimal matcher, one ``_admissible`` pass
+    maps each row to its admissible columns, and a second map, column ->
+    rows, grows with the kept rows only.  A tie group whose rows have
+    such pairs walks from them over each pair of the clusters they join
+    (:func:`~facemetrics.matching._linked_rows`, the walk
+    ``optimal_assignment`` splits its components with), then takes one
+    ``optimal_assignment`` on only those clusters' rows; the other
+    clusters keep their pairs.
     """
     dets, gts = entry
     matrix = iou_matrix(dets, gts)
@@ -257,8 +258,10 @@ def _image_events(
     by_score = _score_order(scores)
     optimal = matcher == "optimal"
     if optimal:
-        # The kept rows' admissible pairs, both ways: row -> columns, column -> rows.
+        # Every row's admissible columns, and each column's kept rows.
         row_columns: dict[int, list[int]] = {}
+        for i, j, _ in _admissible(matrix, iou_threshold):
+            row_columns.setdefault(i, []).append(j)
         column_rows: dict[int, list[int]] = {}
     else:
         claims = {i: iou for i, _, iou in greedy_assignment(matrix, by_score, iou_threshold)}
@@ -269,11 +272,9 @@ def _image_events(
         for i in group:
             kept += 1
             if optimal:
-                columns = [j for j, iou in enumerate(matrix[i]) if iou > iou_threshold]
-                if columns:
+                if i in row_columns:
                     joined.append(i)
-                    row_columns[i] = columns
-                    for j in columns:
+                    for j in row_columns[i]:
                         column_rows.setdefault(j, []).append(i)
             elif i in claims:
                 matched[i] = claims[i]
@@ -433,11 +434,11 @@ def proposal_recall(
     proposal.  ``detections`` replaces the proposals of ``ds`` as for
     :func:`discrete_roc`.
 
-    Each image's top-N proposals are matched once per budget, greedily
-    by descending IoU, and each pair adds one to the running count of
-    every threshold below its IoU.  Because the candidates above any
-    threshold form a prefix of the IoU-sorted candidate list, this
-    equals re-matching at every threshold.
+    Each image's top-N proposals are matched once per distinct row count
+    that the budgets leave it, greedily by descending IoU, and each pair
+    adds one to the running count of every threshold below its IoU.
+    Because the candidates above any threshold form a prefix of the
+    IoU-sorted candidate list, this equals re-matching at every threshold.
     """
     _check_recall_grid(n_values, iou_thresholds)
     thresholds = sorted(iou_thresholds)
@@ -446,8 +447,13 @@ def proposal_recall(
     for dets, gts in _streamed(ds, detections):
         top_rows = _score_order([d.score for d in dets])[:top]
         matrix = iou_matrix([dets[i] for i in top_rows], gts)
+        # Every budget at or above the image's row count matches the same rows.
+        pairs: dict[int, list[tuple[int, int, float]]] = {}
         for counts, n in zip(matched, n_values):
-            for _, _, iou in greedy_assignment_by_iou(matrix[:n], 0.0):
+            rows = min(n, len(matrix))
+            if rows not in pairs:
+                pairs[rows] = greedy_assignment_by_iou(matrix[:rows], 0.0)
+            for _, _, iou in pairs[rows]:
                 for k, t in enumerate(thresholds):
                     if iou <= t:
                         break

@@ -67,7 +67,7 @@ def test_rect_properties():
 
 @dataclass(frozen=True, slots=True)
 class _DataclassRect:
-    """The frozen dataclass ``Rect`` once was: the reference for its contract."""
+    """The frozen dataclass ``Rect`` once was, with field types: the reference for its contract."""
 
     x_min: float
     y_min: float
@@ -77,6 +77,8 @@ class _DataclassRect:
     def __post_init__(self) -> None:
         for name in ("x_min", "y_min", "x_max", "y_max"):
             value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"Rect.{name} must be an int or float, got {type(value).__name__}")
             if not math.isfinite(value):
                 raise ValueError(f"Rect.{name} must be finite, got {value!r}")
         if self.x_max < self.x_min:
@@ -97,7 +99,7 @@ def test_rect_checks_match_the_dataclass_field_by_field():
     # Every field from a pool of finite, non-finite, non-numeric and
     # inverted-making values: the same error, in the same order of checks.
     pool = [0.0, -0.0, 1.0, 2, -3.5, 5e-324, 1e308, math.nan, math.inf, -math.inf, "1",
-            Decimal("NaN"), Fraction(1, 3)]
+            Decimal("NaN"), Decimal(1), Fraction(1, 3), True]
     for fields in itertools.product(pool, repeat=4):
         assert _outcome(Rect, fields) == _outcome(_DataclassRect, fields), fields
 
@@ -113,9 +115,28 @@ def test_rect_reports_a_non_finite_field_first_and_the_first_bad_field_first():
         Rect(5.0, 5.0, 4.0, 4.0)
 
 
-def test_rect_rejects_a_string_field_with_the_isfinite_type_error():
-    with pytest.raises(TypeError, match=r"^must be real number, not str$"):
-        Rect(0.0, "1", 1.0, 2.0)
+def test_rect_rejects_a_field_that_is_not_an_int_or_float_and_names_it():
+    for bad, kind in (("1", "str"), (Decimal(1), "Decimal"), (Fraction(1, 3), "Fraction"),
+                      (True, "bool"), (False, "bool"), (None, "NoneType")):
+        error = rf"^Rect\.y_min must be an int or float, got {kind}$"
+        with pytest.raises(TypeError, match=error):
+            Rect(0.0, bad, 1.0, 2.0)
+        with pytest.raises(TypeError, match=error):
+            dataclasses.replace(Rect(0.0, 0.0, 1.0, 2.0), y_min=bad)
+    with pytest.raises(TypeError, match=r"^Rect\.x_min must be an int or float, got bool$"):
+        Rect(True, False, True, True)
+    with pytest.raises(TypeError, match=r"^Rect\.x_min must be an int or float, got Decimal$"):
+        Rect.from_xywh(Decimal(0), Decimal(0), Decimal(1), Decimal(1))
+    # A float subclass is a float, and an int field keeps its type.
+    assert Rect(np.float64(0.5), 0, 1, 2) == Rect(0.5, 0.0, 1.0, 2.0)
+    assert type(Rect(0, 0, 1, 1).x_max) is int
+
+
+def test_rect_of_decimals_is_rejected_before_it_reaches_the_iou():
+    # Such a box once built, scored 0.0 against a far box and raised a
+    # TypeError inside iou_rect against an overlapping one.
+    with pytest.raises(TypeError, match=r"^Rect\.x_min must be an int or float, got Decimal$"):
+        Rect(*map(Decimal, ("0", "0", "10", "10")))
 
 
 def test_rect_equality_hash_and_repr():

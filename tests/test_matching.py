@@ -277,14 +277,18 @@ def test_greedy_assignment_by_iou_tie_order():
     assert greedy_assignment_by_iou(matrix, 0.0) == [(0, 0, 0.7), (1, 1, 0.7)]
 
 
-def test_greedy_assignment_by_iou_matches_the_explicit_iou_then_index_key():
-    # NaN-free, tie-heavy IoU values on both sides of the strict threshold.
+def _tie_heavy_matrices():
+    """2000 (matrix, threshold): NaN-free, tie-heavy IoUs on both sides of the strict threshold."""
     values = [0.0, 5e-324, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0]
     rng = random.Random(12)
     for _ in range(2000):
         rows, cols = rng.randint(0, 6), rng.randint(0, 6)
         matrix = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
-        threshold = rng.choice([0.0, 0.5])
+        yield matrix, rng.choice([0.0, 0.5])
+
+
+def test_greedy_assignment_by_iou_matches_the_explicit_iou_then_index_key():
+    for matrix, threshold in _tie_heavy_matrices():
         candidates = sorted(
             (
                 (i, j, value)
@@ -301,6 +305,38 @@ def test_greedy_assignment_by_iou_matches_the_explicit_iou_then_index_key():
                 used_cols.add(j)
                 expected.append((i, j, value))
         assert greedy_assignment_by_iou(matrix, threshold) == expected
+
+
+def test_greedy_assignment_matches_its_oracle_on_random_priorities():
+    rng = random.Random(30)
+    seen = {"column tie": 0, "steal": 0, "subset": 0}
+    for matrix, threshold in _tie_heavy_matrices():
+        rows = range(len(matrix))
+        # A permutation of every row, or of a random subset of them.
+        priority = rng.sample(rows, rng.choice([len(rows), rng.randint(0, len(rows))]))
+        expected = oracles.reference_greedy_pairs(matrix, priority, threshold)
+        assert greedy_assignment(matrix, priority, threshold) == expected
+        seen["subset"] += len(priority) < len(matrix)
+        claimed = set()
+        for i in priority:
+            admissible = [j for j, value in enumerate(matrix[i]) if value > threshold]
+            if not admissible:
+                continue
+            # An earlier row took this row's best column (the first of its maximal IoU).
+            seen["steal"] += max(admissible, key=matrix[i].__getitem__) in claimed
+            free = [matrix[i][j] for j in admissible if j not in claimed]
+            seen["column tie"] += free.count(max(free, default=None)) > 1
+            claimed.update(j for k, j, _ in expected if k == i)
+    assert all(seen.values()), seen
+
+
+def test_greedy_assignment_rejects_a_repeated_or_foreign_priority_row():
+    # A repeated row once claimed a second column; a foreign one raised IndexError.
+    for priority in ([0, 0], [1], [-1], [0, 2]):
+        with pytest.raises(ValueError, match=r"^priority must list distinct rows of a 1-row matrix$"):
+            greedy_assignment([[0.9, 0.8]], priority, 0.5)
+    assert greedy_assignment([[0.9, 0.8]], [0], 0.5) == [(0, 0, 0.9)]
+    assert greedy_assignment([], [], 0.5) == []
 
 
 def test_optimal_assignment_empty_and_inadmissible():

@@ -678,6 +678,26 @@ def test_proposal_recall_worked_example():
     )
 
 
+def test_proposal_recall_matches_each_image_once_per_distinct_row_count(monkeypatch):
+    calls = _count_calls(monkeypatch, "greedy_assignment_by_iou")
+    rng = random.Random(11)
+    shared = 0
+    for _ in range(20):
+        ds = oracles.random_mini_dataset(rng, max_images=6, max_total_dets=20)
+        n_values = rng.sample(range(8), rng.randint(1, 5))
+        calls.clear()
+        curves = proposal_recall(ds, n_values, [0.3, 0.5, 0.7])
+        # Every budget at or above an image's detection count matches the same rows.
+        row_counts = [
+            {min(n, len(e.detections)) for n in n_values} for e in ds.images.values() if e.detections
+        ]
+        assert len(calls) == sum(map(len, row_counts))
+        shared += len(n_values) * len(row_counts) - len(calls)
+        for n, curve in zip(n_values, curves):
+            assert proposal_recall(ds, [n], [0.3, 0.5, 0.7]) == [curve]
+    assert shared > 0
+
+
 def test_proposal_recall_budget_zero_matches_nothing():
     ds = _single_image_dataset()
     zero, full = proposal_recall(ds, [0, 3], [0.5])
