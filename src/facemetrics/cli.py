@@ -274,9 +274,7 @@ def cmd_proposal_recall(config: RunConfig) -> int:
 
 
 def cmd_nms(config: RunConfig) -> int:
-    regions = parse_scored_rects(_read_text(config.input_path))
-    detections = [Detection(region=r.rect, score=r.score, image_id="") for r in regions]
-    kept = nms(detections, config.iou)
+    kept = nms(parse_scored_rects(_read_text(config.input_path)), config.iou)
     _write_text(config.out, "".join(format_rect(d.region, d.score) + "\n" for d in kept))
     return 0
 

@@ -4,11 +4,13 @@ Region-list files follow the FDDB layout: an image-id line, a region
 count line, then one region per line.  A region line is classified by
 its field count:
 
-* 4 fields: rectangle ``x y w h`` (left-top corner plus size),
-* 5 fields: rectangle ``x y w h score``,
+* 4 fields: rectangle ``x y w h`` (left-top corner plus size), parsed
+  to a :class:`~facemetrics.geometry.Rect`,
+* 5 fields: rectangle ``x y w h score``, parsed to a
+  :class:`~facemetrics.matching.Detection` on its block's image,
 * 6 fields: ellipse ``major minor angle cx cy label`` (the axes are
   semi-axis lengths; the trailing label is required but its value is
-  not interpreted).
+  not interpreted), parsed to a :class:`~facemetrics.geometry.Ellipse`.
 
 Ellipse angles default to radians, counter-clockwise from the +x axis;
 pass ``angle_unit="degrees"`` for files written under the degree
@@ -41,12 +43,10 @@ from .metrics import Curve, CurvePoint, CurvePointError, EvalDataset, XSemantics
 
 __all__ = [
     "ParseError",
-    "RectRegion",
     "Region",
     "AnnotationEntry",
     "AnnotationFile",
     "parse_region_list",
-    "parse_fold_list",
     "parse_scored_rects",
     "format_rect",
     "build_dataset",
@@ -69,19 +69,7 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True, slots=True)
-class RectRegion:
-    """A rectangle region from a file, with its optional score column."""
-
-    rect: Rect
-    score: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.score is not None and not math.isfinite(self.score):
-            raise ValueError(f"region score must be finite, got {self.score!r}")
-
-
-Region = Union[RectRegion, Ellipse]
+Region = Union[Rect, Detection, Ellipse]
 
 
 class AnnotationEntry(NamedTuple):
@@ -115,13 +103,19 @@ def _parse_floats(tokens: list[str], lineno: int) -> list[float]:
     return values
 
 
-def _parse_region_line(line: str, lineno: int, angle_unit: str) -> Region:
+def _parse_region_line(line: str, lineno: int, angle_unit: str, image_id: str) -> Region:
+    """A region line's ``Rect``, its ``Detection`` on ``image_id``, or its ``Ellipse``."""
     tokens = line.split()
     if len(tokens) in (4, 5):
         values = _parse_floats(tokens, lineno)
         try:
             rect = Rect.from_xywh(values[0], values[1], values[2], values[3])
-            return RectRegion(rect, values[4] if len(tokens) == 5 else None)
+            if len(tokens) == 4:
+                return rect
+            score = values[4]
+            if not math.isfinite(score):
+                raise ValueError(f"region score must be finite, got {score!r}")
+            return Detection(rect, score, image_id)
         except ValueError as exc:
             raise ParseError(f"invalid rectangle: {exc}", lineno) from None
     if len(tokens) == 6:
@@ -180,7 +174,7 @@ def _entries(lines: list[str], angle_unit: str) -> Iterator[AnnotationEntry]:
                 raise ParseError(
                     f"image {image_id!r}: declared {count} regions, found {found}", pos + 1
                 )
-            regions.append(_parse_region_line(lines[pos], pos + 1, angle_unit))
+            regions.append(_parse_region_line(lines[pos], pos + 1, angle_unit, image_id))
             pos += 1
         yield AnnotationEntry(image_id, tuple(regions), id_line)
 
@@ -201,22 +195,17 @@ def _check_angle_unit(angle_unit: str) -> None:
         raise ValueError(f"angle_unit must be one of {_ANGLE_UNITS}, got {angle_unit!r}")
 
 
-def parse_fold_list(text: str) -> list[str]:
-    """Image ids from a fold file: one per non-empty line, order preserved."""
-    return [line.strip() for line in text.splitlines() if line.strip()]
-
-
-def parse_scored_rects(text: str) -> list[RectRegion]:
-    """Scored rectangles, one ``x y w h score`` line each; blank lines skipped."""
-    regions = []
+def parse_scored_rects(text: str) -> list[Detection]:
+    """Scored rectangles, one ``x y w h score`` line each, on image ``""``; blank lines skipped."""
+    detections = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        region = _parse_region_line(line, lineno, "radians")
-        if isinstance(region, Ellipse) or region.score is None:
+        region = _parse_region_line(line, lineno, "radians", "")
+        if not isinstance(region, Detection):
             raise ParseError("expected an 'x y w h score' line", lineno)
-        regions.append(region)
-    return regions
+        detections.append(region)
+    return detections
 
 
 def format_rect(rect: Rect, score: float | None = None) -> str:
@@ -237,8 +226,8 @@ def _entry_error(entry: AnnotationEntry, message: str, offset: int = 0) -> Value
     return ParseError(message, entry.line + offset)
 
 
-def _entry_detections(entry: AnnotationEntry, image_ids: Container[str]) -> list[Detection]:
-    """The detections of a detection-file entry, whose image must be one of ``image_ids``.
+def _entry_detections(entry: AnnotationEntry, image_ids: Container[str]) -> tuple[Detection, ...]:
+    """A detection-file entry's regions, all detections, on an image of ``image_ids``.
 
     An image outside ``image_ids``, an ellipse or an unscored box is an
     error; one about an entry read from a file is a :class:`ParseError`
@@ -248,21 +237,20 @@ def _entry_detections(entry: AnnotationEntry, image_ids: Container[str]) -> list
         raise _entry_error(
             entry, f"detections reference image {entry.image_id!r} absent from the annotations"
         )
-    dets = []
     # The regions follow the count line, which follows the image id.
     for offset, region in enumerate(entry.regions, start=2):
+        if isinstance(region, Detection):
+            continue
         if isinstance(region, Ellipse):
             raise _entry_error(
                 entry,
                 f"image {entry.image_id!r}: detections must be rectangles, got an ellipse",
                 offset,
             )
-        if region.score is None:
-            raise _entry_error(
-                entry, f"image {entry.image_id!r}: detection entries must carry scores", offset
-            )
-        dets.append(Detection(region=region.rect, score=region.score, image_id=entry.image_id))
-    return dets
+        raise _entry_error(
+            entry, f"image {entry.image_id!r}: detection entries must carry scores", offset
+        )
+    return entry.regions
 
 
 def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> EvalDataset:
@@ -272,19 +260,22 @@ def build_dataset(annotations: AnnotationFile, detections: AnnotationFile) -> Ev
     detections.  Detections for an image missing from the annotations
     are an error, as are detection entries without scores or with
     ellipse regions.  An error about an entry read from a file is a
-    :class:`ParseError` naming the line of its image id or region.
+    :class:`ParseError` naming the line of its image id or region.  The
+    entries' own ``Detection`` objects go into the dataset, so each must
+    be on its entry's image.
     """
-    images: dict[str, tuple[list[Detection], list[GroundTruth]]] = {}
-    for entry in annotations.entries:
-        gts = []
-        for region in entry.regions:
-            shape = region if isinstance(region, Ellipse) else region.rect
-            gts.append(GroundTruth(region=shape, image_id=entry.image_id))
-        images[entry.image_id] = ([], gts)
-    for entry in detections.entries:
-        dets = _entry_detections(entry, images)
-        images[entry.image_id][0].extend(dets)
-    return EvalDataset.from_images(images)
+    gts = {
+        entry.image_id: [
+            # A scored ground truth's score is ignored.
+            GroundTruth(region.region if isinstance(region, Detection) else region, entry.image_id)
+            for region in entry.regions
+        ]
+        for entry in annotations.entries
+    }
+    dets = {entry.image_id: _entry_detections(entry, gts) for entry in detections.entries}
+    return EvalDataset.from_images(
+        {image_id: (dets.get(image_id, ()), image_gts) for image_id, image_gts in gts.items()}
+    )
 
 
 def read_detections(
@@ -328,8 +319,8 @@ def _detection_blocks(
             error = exc
             continue
         if top is not None and len(dets) > top:
-            dets = [dets[i] for i in sorted(_score_order([d.score for d in dets])[:top])]
-        yield tuple(dets)
+            dets = tuple(dets[i] for i in sorted(_score_order([d.score for d in dets])[:top]))
+        yield dets
     if error is not None:
         raise error
 

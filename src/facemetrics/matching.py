@@ -18,8 +18,9 @@ threshold.  The strict comparison is applied uniformly at every
 threshold (a detection at IoU exactly 0.5 does not match at the 0.5
 operating point), and it also means zero-IoU pairs never match, so
 degenerate regions stay unmatched.  Only :func:`_admissible` makes this
-test: every matcher, and the ROC sweep, takes its candidates from its
-row-major list, and both greedy matchers claim them through :func:`_claim`.
+test, and it first checks that the threshold lies in ``[0, 1]``: every
+matcher, and the ROC sweep, takes its candidates from its row-major
+list, and both greedy matchers claim them through :func:`_claim`.
 
 Both matchers are deterministic.  Greedy breaks score ties by input
 index and IoU ties by lowest ground-truth index.  Optimal breaks
@@ -200,7 +201,11 @@ _Candidate = tuple[int, int, float]
 
 
 def _admissible(matrix: Sequence[Sequence[float]], iou_threshold: float) -> list[_Candidate]:
-    """Every ``(row, col, IoU)`` whose IoU is strictly above the threshold, row-major."""
+    """Every ``(row, col, IoU)`` whose IoU is strictly above the threshold, row-major.
+
+    The threshold must lie in ``[0, 1]``.
+    """
+    _check_iou_threshold(iou_threshold)
     return [
         (i, j, value)
         for i, row in enumerate(matrix)

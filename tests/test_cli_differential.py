@@ -390,12 +390,12 @@ def test_nms_keeps_the_reference_boxes(iou, tmp_path, capsys):
     path = tmp_path / "scored.txt"
     path.write_text("\n".join(lines) + "\n")
     regions = parse_scored_rects(path.read_text())
-    boxes = np.array([[r.rect.x_min, r.rect.y_min, r.rect.x_max, r.rect.y_max] for r in regions])
+    boxes = np.array([[r.region.x_min, r.region.y_min, r.region.x_max, r.region.y_max] for r in regions])
     kept = oracles.reference_nms_indices(boxes, np.array([r.score for r in regions]), float(iou))
     assert 0 < len(kept) < len(regions)
     code, out, err = _run(capsys, ["nms", "--in", str(path), "--iou", iou])
     assert (code, err) == (0, "")
-    assert out == "".join(format_rect(regions[i].rect, regions[i].score) + "\n" for i in kept)
+    assert out == "".join(format_rect(regions[i].region, regions[i].score) + "\n" for i in kept)
 
 
 def _greedy_by_iou_recall(ds, n, iou_thresholds):

@@ -15,10 +15,8 @@ from facemetrics.io import (
     AnnotationEntry,
     AnnotationFile,
     ParseError,
-    RectRegion,
     build_dataset,
     format_rect,
-    parse_fold_list,
     parse_region_list,
     parse_scored_rects,
     read_curve,
@@ -52,12 +50,24 @@ class TestParseRegionList:
         assert ellipse.semi_major == 42.5
         assert ellipse.angle == 1.2471
         assert ellipse.center_x == 120.0
-        assert isinstance(rect, RectRegion)
-        assert rect.rect == Rect(x_min=10, y_min=20, x_max=40, y_max=60)
-        assert rect.score is None
+        assert isinstance(rect, Rect)
+        assert rect == Rect(x_min=10, y_min=20, x_max=40, y_max=60)
         (scored,) = second.regions
-        assert scored.rect == Rect(x_min=5.5, y_min=6.5, x_max=17.5, y_max=24.5)
+        assert isinstance(scored, Detection)
+        assert scored.region == Rect(x_min=5.5, y_min=6.5, x_max=17.5, y_max=24.5)
         assert scored.score == 0.875
+
+    def test_each_line_kind_parses_to_one_object(self):
+        parsed = parse_region_list("a\n1\n1 2 3 4\nb\n2\n1 2 3 4 0.5\n3 2 0 5 6 1\n")
+        assert [entry.regions for entry in parsed.entries] == [
+            (Rect(1.0, 2.0, 4.0, 6.0),),
+            (
+                Detection(Rect(1.0, 2.0, 4.0, 6.0), 0.5, "b"),
+                Ellipse(center_x=5.0, center_y=6.0, semi_major=3.0, semi_minor=2.0, angle=0.0),
+            ),
+        ]
+        (scored,) = parse_scored_rects("1 2 3 4 0.5\n")
+        assert scored == Detection(Rect(1.0, 2.0, 4.0, 6.0), 0.5, "")
 
     def test_blank_lines_between_records_are_skipped(self):
         text = "\nimg_a\n1\n0 0 10 10\n\n\nimg_b\n1\n1 1 5 5\n\n"
@@ -164,15 +174,6 @@ class TestParseRegionList:
         assert len(set(scores)) == 12
 
 
-class TestParseFoldList:
-    def test_returns_stripped_nonempty_lines(self):
-        text = "fold/img_1\n\nfold/img_2  \n  fold/img_3\n"
-        assert parse_fold_list(text) == ["fold/img_1", "fold/img_2", "fold/img_3"]
-
-    def test_empty(self):
-        assert parse_fold_list("") == []
-
-
 class TestScoredRects:
     def test_round_trip_through_format_rect(self):
         rects = [
@@ -181,7 +182,7 @@ class TestScoredRects:
         ]
         text = "".join(format_rect(r, score=s) + "\n" for r, s in rects)
         parsed = parse_scored_rects(text)
-        assert [(p.rect, p.score) for p in parsed] == rects
+        assert [(p.region, p.score) for p in parsed] == rects
 
     def test_format_rect_without_score(self):
         assert format_rect(Rect.from_xywh(1.0, 2.0, 3.0, 4.0)) == "1 2 3 4"
@@ -192,12 +193,13 @@ class TestScoredRects:
         assert line.split()[0] == "1.23457"
 
     def test_rejects_unscored_lines(self):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_scored_rects("0 0 1 1 0.5\n0 0 1 1\n")
+        for line in ("0 0 1 1", "10 5 0 20 20 1"):
+            with pytest.raises(ParseError, match="^line 2: expected an 'x y w h score' line$"):
+                parse_scored_rects(f"0 0 1 1 0.5\n{line}\n")
 
     def test_skips_blank_lines_and_keeps_counting_them(self):
         parsed = parse_scored_rects("0 0 1 1 0.5\n\n  \t\n2 2 1 1 0.25\n")
-        assert [(p.rect, p.score) for p in parsed] == [
+        assert [(p.region, p.score) for p in parsed] == [
             (Rect(0.0, 0.0, 1.0, 1.0), 0.5),
             (Rect(2.0, 2.0, 3.0, 3.0), 0.25),
         ]
@@ -221,6 +223,15 @@ class TestBuildDataset:
         assert all(isinstance(g, GroundTruth) for g in gts)
         assert all(isinstance(d, Detection) for d in dets)
         assert ds.images["fold-01/img_2"].detections == ()
+
+    def test_detections_are_the_parsed_objects_themselves(self):
+        annotations = parse_region_list("a\n0\nb\n0\nc\n0\n")
+        detections = parse_region_list("a\n2\n0 0 1 1 0.5\n0 0 2 2 0.25\nb\n0\n")
+        ds = build_dataset(annotations, detections)
+        parsed = detections.entries[0].regions
+        assert ds.images["a"].detections is parsed
+        assert all(d is p for d, p in zip(ds.images["a"].detections, parsed))
+        assert ds.images["b"].detections == ds.images["c"].detections == ()
 
     def test_gt_regions_keep_their_geometry(self):
         annotations = parse_region_list(MIXED_TEXT)
@@ -266,10 +277,16 @@ class TestBuildDataset:
         assert [entry.line for entry in parsed.entries] == [2, 6]
         with pytest.raises(ParseError, match=r"^line 6: detections reference image 'img_zzz'"):
             build_dataset(annotations, parsed)
-        built = AnnotationFile((AnnotationEntry("img", (RectRegion(Rect(0, 0, 1, 1)),)),))
+        built = AnnotationFile((AnnotationEntry("img", (Rect(0, 0, 1, 1),)),))
         assert built.entries[0].line == 0
         with pytest.raises(ValueError, match=r"^image 'img': detection entries must carry scores$"):
             build_dataset(annotations, built)
+        # A detection is handed on as it is, so one on another image is not re-filed.
+        misfiled = AnnotationFile(
+            (AnnotationEntry("img", (Detection(Rect(0, 0, 1, 1), 0.5, "x"),)),)
+        )
+        with pytest.raises(ValueError, match=r"^detection for image 'x' filed under 'img'$"):
+            build_dataset(annotations, misfiled)
 
 
 

@@ -142,6 +142,25 @@ def test_zero_iou_never_matches_even_at_zero_threshold():
     assert match_optimal(dets, gts, 0.0).pairs == ()
 
 
+@pytest.mark.parametrize(
+    "assign",
+    [
+        lambda matrix, threshold: greedy_assignment(matrix, range(len(matrix)), threshold),
+        greedy_assignment_by_iou,
+        optimal_assignment,
+    ],
+    ids=["greedy_assignment", "greedy_assignment_by_iou", "optimal_assignment"],
+)
+def test_public_matchers_check_their_threshold(assign):
+    # Below 0 a disjoint cell would be admitted, and at NaN no cell would.
+    for threshold in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^iou_threshold must be in \[0, 1\], got "):
+            assign([[0.0]], threshold)
+    assert sorted(assign([[0.0, 0.5], [1.0, 0.25]], 0.0)) == [(0, 1, 0.5), (1, 0, 1.0)]
+    assert assign([[1.0]], 1.0) == []
+    assert assign([], 0.5) == []
+
+
 def test_match_optimal_beats_greedy_when_order_steals():
     # The high-score detection overlaps both ground truths and greedy
     # hands it the better one, stranding the second detection, which
