@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .geometry import Rect
+from .geometry import Rect, _check_number, _is_int
 
 __all__ = [
     "AnchorSpec",
@@ -85,7 +85,10 @@ _SHORT_SIDE = 600.0
 
 @dataclass(frozen=True, slots=True)
 class BoxDelta:
-    """Box offsets relative to an anchor: center shifts and log size ratios."""
+    """Box offsets relative to an anchor: center shifts and log size ratios.
+
+    Each field is a finite ``int`` or ``float``, not a ``bool``, as in a ``Rect``.
+    """
 
     tx: float
     ty: float
@@ -93,10 +96,10 @@ class BoxDelta:
     th: float
 
     def __post_init__(self) -> None:
-        for name in ("tx", "ty", "tw", "th"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"BoxDelta.{name} must be finite, got {value!r}")
+        _check_number(self.tx, "BoxDelta.tx")
+        _check_number(self.ty, "BoxDelta.ty")
+        _check_number(self.tw, "BoxDelta.tw")
+        _check_number(self.th, "BoxDelta.th")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,8 +146,10 @@ def _check_grid(
     side that both its edges rounded to the same float, leaving a zero-area
     box.
     """
-    if feature_w < 1 or feature_h < 1:
-        raise ValueError(f"anchor_grid requires a non-empty grid, got {feature_w}x{feature_h}")
+    if not (_is_int(feature_w) and _is_int(feature_h)) or feature_w < 1 or feature_h < 1:
+        raise ValueError(
+            f"anchor_grid requires a non-empty grid of ints, got {feature_w!r}x{feature_h!r}"
+        )
     try:
         far_cx = ((feature_w - 1) + 0.5) * spec.stride
         far_cy = ((feature_h - 1) + 0.5) * spec.stride
@@ -221,17 +226,20 @@ def decode(delta: BoxDelta, anchor: Rect) -> Rect:
     ah = y1 - y0
     if aw <= 0 or ah <= 0:
         raise ValueError(f"decode requires a positive-size anchor, got {aw}x{ah}")
-    cx = 0.5 * (x0 + x1) + delta.tx * aw
-    cy = 0.5 * (y0 + y1) + delta.ty * ah
-    half_w = 0.5 * (aw * math.exp(delta.tw))
-    half_h = 0.5 * (ah * math.exp(delta.th))
-    return Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+    try:
+        cx = 0.5 * (x0 + x1) + delta.tx * aw
+        cy = 0.5 * (y0 + y1) + delta.ty * ah
+        half_w = 0.5 * (aw * math.exp(delta.tw))
+        half_h = 0.5 * (ah * math.exp(delta.th))
+        return Rect(cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+    except (OverflowError, ValueError):  # from math.exp, or a Rect edge that is not finite
+        raise ValueError(f"decode overflows the float range for {delta!r} on {anchor!r}") from None
 
 
 def top_n(scored: list[tuple[Rect, float]], n: int) -> list[tuple[Rect, float]]:
     """The ``n`` highest-scoring entries, descending score, ties by input index."""
-    if n < 0:
-        raise ValueError(f"top_n requires n >= 0, got {n}")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"top_n requires an int n >= 0, got {n!r}")
     # A reverse sort is stable, so equal scores keep their input order.
     return sorted(scored, key=itemgetter(1), reverse=True)[:n]
 

@@ -43,6 +43,7 @@ __all__ = [
 # Vertex count of the inscribed polygon that stands in for an ellipse.
 _POLYGON_VERTICES = 1024
 _INF = math.inf
+_FLOAT_MAX = math.nextafter(_INF, 0.0)
 
 
 def _score_order(scores: Sequence[float]) -> list[int]:
@@ -58,17 +59,25 @@ def _check_iou_threshold(iou_threshold: float) -> None:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
 
 
-def _check_rect_fields(x_min: float, y_min: float, x_max: float, y_max: float) -> None:
-    """Raise the first of a Rect's field errors, then any inverted corners.
+def _check_number(value: object, label: str) -> None:
+    """Every number field's rule: an ``int`` or ``float``, not a ``bool``, in the float range."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, (int, float))):
+        raise TypeError(f"{label} must be an int or float, got {type(value).__name__}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{label} must be finite, got {value!r}")
 
-    A field is checked for its type (an ``int`` or ``float``, not a
-    ``bool``), then for finiteness, before the next field.
-    """
-    for name, value in (("x_min", x_min), ("y_min", y_min), ("x_max", x_max), ("y_max", y_max)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TypeError(f"Rect.{name} must be an int or float, got {type(value).__name__}")
-        if not -_INF < value < _INF:
-            raise ValueError(f"Rect.{name} must be finite, got {value!r}")
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``: the type of every count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rect_fields(x_min: float, y_min: float, x_max: float, y_max: float) -> None:
+    """Raise the first of a Rect's field errors, then any inverted corners."""
+    _check_number(x_min, "Rect.x_min")
+    _check_number(y_min, "Rect.y_min")
+    _check_number(x_max, "Rect.x_max")
+    _check_number(y_max, "Rect.y_max")
     if x_max < x_min:
         raise ValueError(f"Rect requires x_max >= x_min, got {x_min}..{x_max}")
     if y_max < y_min:
@@ -151,7 +160,10 @@ _set_x_min, _set_y_min, _set_x_max, _set_y_max = (
 
 @dataclass(frozen=True, slots=True)
 class Ellipse:
-    """Rotated ellipse; ``angle`` is radians CCW from +x to the major axis."""
+    """Rotated ellipse; ``angle`` is radians CCW from +x to the major axis.
+
+    Each field is a finite ``int`` or ``float``, not a ``bool``, as in a ``Rect``.
+    """
 
     center_x: float
     center_y: float
@@ -160,10 +172,11 @@ class Ellipse:
     angle: float
 
     def __post_init__(self) -> None:
-        for name in ("center_x", "center_y", "semi_major", "semi_minor", "angle"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"Ellipse.{name} must be finite, got {value!r}")
+        _check_number(self.center_x, "Ellipse.center_x")
+        _check_number(self.center_y, "Ellipse.center_y")
+        _check_number(self.semi_major, "Ellipse.semi_major")
+        _check_number(self.semi_minor, "Ellipse.semi_minor")
+        _check_number(self.angle, "Ellipse.angle")
         if self.semi_minor <= 0:
             raise ValueError(f"Ellipse requires semi_minor > 0, got {self.semi_minor}")
         if self.semi_major < self.semi_minor:

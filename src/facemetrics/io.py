@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Container, Iterator, NamedTuple, Union
 
 from ._version import __version__
-from .geometry import Ellipse, Rect, _score_order
+from .geometry import Ellipse, Rect, _check_number, _is_int, _score_order
 from .matching import Detection, GroundTruth
 from .metrics import Curve, CurvePoint, CurvePointError, EvalDataset, XSemantics, YSemantics
 
@@ -112,10 +112,8 @@ def _parse_region_line(line: str, lineno: int, angle_unit: str, image_id: str) -
             rect = Rect.from_xywh(values[0], values[1], values[2], values[3])
             if len(tokens) == 4:
                 return rect
-            score = values[4]
-            if not math.isfinite(score):
-                raise ValueError(f"region score must be finite, got {score!r}")
-            return Detection(rect, score, image_id)
+            _check_number(values[4], "region score")
+            return Detection(rect, values[4], image_id)
         except ValueError as exc:
             raise ParseError(f"invalid rectangle: {exc}", lineno) from None
     if len(tokens) == 6:
@@ -302,7 +300,7 @@ def read_detections(
 
 
 def _check_top(top: int | None) -> None:
-    if top is not None and (isinstance(top, bool) or not isinstance(top, int) or top < 1):
+    if top is not None and (not _is_int(top) or top < 1):
         raise ValueError(f"top must be an int >= 1, got {top!r}")
 
 

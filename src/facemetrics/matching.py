@@ -47,7 +47,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .geometry import Ellipse, Rect, ellipse_to_polygon, iou_ellipse_rect, iou_rect
-from .geometry import _check_iou_threshold, _score_order
+from .geometry import _check_iou_threshold, _check_number, _score_order
 
 __all__ = [
     "Detection",
@@ -68,7 +68,10 @@ Region = Union[Rect, Ellipse]
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """A scored rectangular detection on one image."""
+    """A scored rectangular detection on one image.
+
+    The score is a finite ``int`` or ``float``, not a ``bool``, as a ``Rect`` field is.
+    """
 
     region: Rect
     score: float
@@ -77,8 +80,7 @@ class Detection:
     def __post_init__(self) -> None:
         if not isinstance(self.region, Rect):
             raise TypeError(f"Detection region must be a Rect, got {type(self.region).__name__}")
-        if not math.isfinite(self.score):
-            raise ValueError(f"Detection score must be finite, got {self.score!r}")
+        _check_number(self.score, "Detection score")
 
 
 @dataclass(frozen=True, slots=True)

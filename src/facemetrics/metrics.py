@@ -61,7 +61,7 @@ from enum import Enum
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .geometry import _check_iou_threshold, _score_order
+from .geometry import _check_iou_threshold, _is_int, _score_order
 from .matching import _EXACT_DENOMINATOR, _admissible, _exact, _linked_rows
 from .matching import (
     Detection,
@@ -133,6 +133,9 @@ class Curve:
             "points",
             tuple(p if type(p) is CurvePoint else CurvePoint(*p) for p in self.points),
         )
+        # As a point tuple becomes a CurvePoint, a semantics name becomes its member.
+        object.__setattr__(self, "x_semantics", XSemantics(self.x_semantics))
+        object.__setattr__(self, "y_semantics", YSemantics(self.y_semantics))
         previous = None
         for index, point in enumerate(self.points):
             if not 0.0 <= point.y <= 1.0:
@@ -213,8 +216,8 @@ def _check_dataset(ds: EvalDataset) -> None:
 def _check_recall_grid(n_values: Sequence[int], iou_thresholds: Sequence[float]) -> None:
     if not n_values:
         raise ValueError("n_values must not be empty")
-    if any(n < 0 for n in n_values):
-        raise ValueError(f"n_values must be non-negative, got {list(n_values)}")
+    if any(not _is_int(n) or n < 0 for n in n_values):
+        raise ValueError(f"n_values must be non-negative ints, got {list(n_values)}")
     if not iou_thresholds:
         raise ValueError("iou_thresholds must not be empty")
     if any(not 0.0 < t <= 1.0 for t in iou_thresholds):

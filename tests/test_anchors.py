@@ -255,6 +255,19 @@ def test_decode_inverts_encode():
         assert restored.y_max == pytest.approx(proposal.y_max, abs=1e-9)
 
 
+def test_decode_names_a_delta_that_overflows_the_float_range():
+    anchor = Rect(0.0, 0.0, 16.0, 16.0)
+    # tw or th of 1000 overflows math.exp; 709 overflows the box side after it;
+    # tx of 1e308 overflows the center.
+    for delta in (BoxDelta(0.0, 0.0, 1000.0, 0.0), BoxDelta(0.0, 0.0, 709.0, 0.0),
+                  BoxDelta(0.0, 0.0, 0.0, 1000.0), BoxDelta(0.0, 0.0, 0.0, 709.0),
+                  BoxDelta(1e308, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError) as excinfo:
+            decode(delta, anchor)
+        assert str(excinfo.value) == f"decode overflows the float range for {delta!r} on {anchor!r}"
+    assert decode(BoxDelta(0.0, 0.0, 700.0, 0.0), anchor).width < math.inf
+
+
 def _decode_by_properties(delta, anchor):
     """``decode`` through ``width``, ``height`` and ``center``."""
     aw = anchor.width
@@ -332,6 +345,21 @@ def test_top_n_selection():
     ]
     with pytest.raises(ValueError):
         top_n(scored, -1)
+
+
+def test_anchor_grid_and_top_n_take_int_counts_only():
+    scored = [(Rect(0.0, 0.0, 1.0, 1.0), 0.5), (Rect(1.0, 1.0, 2.0, 2.0), 0.9)]
+    for bad in (True, False, 2.5, 2.0, "2", None):
+        for size in ((bad, 2), (2, bad)):
+            message = f"anchor_grid requires a non-empty grid of ints, got {size[0]!r}x{size[1]!r}"
+            with pytest.raises(ValueError) as excinfo:
+                anchor_grid(*size, DEFAULT_ANCHOR_SPEC)
+            assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            top_n(scored, bad)
+        assert str(excinfo.value) == f"top_n requires an int n >= 0, got {bad!r}"
+    assert len(anchor_grid(1, 1, DEFAULT_ANCHOR_SPEC)) == 9
+    assert top_n(scored, 1) == [scored[1]]
 
 
 def test_resize_scale_train_mode():

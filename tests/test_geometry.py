@@ -139,6 +139,50 @@ def test_rect_of_decimals_is_rejected_before_it_reaches_the_iou():
         Rect(*map(Decimal, ("0", "0", "10", "10")))
 
 
+def test_every_number_field_takes_only_a_finite_int_or_float():
+    # One rule for each field of a Rect, an Ellipse and a BoxDelta and for a
+    # detection score.  Each object below is valid with any one field set to 1.
+    objects = [
+        Rect(0.0, 0.0, 1.0, 1.0),
+        Ellipse(1.0, 1.0, 1.0, 1.0, 1.0),
+        BoxDelta(0.1, 0.2, 0.3, 0.4),
+        Detection(Rect(0.0, 0.0, 1.0, 1.0), 0.5, "img"),
+    ]
+    fields = [
+        (obj, field.name, f"{type(obj).__name__}.{field.name}")
+        for obj in objects[:3]
+        for field in dataclasses.fields(obj)
+    ]
+    fields.append((objects[3], "score", "Detection score"))
+    assert len(fields) == 14
+    not_numbers = [(True, "bool"), (False, "bool"), ("1", "str"), (Decimal("1"), "Decimal"),
+                   (Fraction(1, 2), "Fraction"), (np.float32(1.0), "float32"), (None, "NoneType")]
+    not_finite = [math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+    for obj, name, label in fields:
+        for bad, kind in not_numbers:
+            with pytest.raises(TypeError) as excinfo:
+                dataclasses.replace(obj, **{name: bad})
+            assert str(excinfo.value) == f"{label} must be an int or float, got {kind}"
+        for bad in not_finite:
+            with pytest.raises(ValueError) as excinfo:
+                dataclasses.replace(obj, **{name: bad})
+            assert str(excinfo.value) == f"{label} must be finite, got {bad!r}"
+        # An int keeps its type, and a float subclass is a float.
+        for good in (1, 1.0, np.float64(1.0)):
+            value = getattr(dataclasses.replace(obj, **{name: good}), name)
+            assert value == good and type(value) is type(good)
+
+
+def test_decimal_ellipses_and_scores_are_rejected_before_any_arithmetic():
+    # Such an ellipse once built, scored 0.0 against a zero-area box and
+    # raised a TypeError inside iou_ellipse_rect against an overlapping one;
+    # such a score came out of discrete_roc as a Decimal threshold.
+    with pytest.raises(TypeError, match=r"^Ellipse\.center_x must be an int or float, got Decimal$"):
+        Ellipse(Decimal("10"), 10.0, 5.0, 3.0, 0.0)
+    with pytest.raises(TypeError, match=r"^Detection score must be an int or float, got Decimal$"):
+        Detection(Rect(0.0, 0.0, 1.0, 1.0), Decimal("0.5"), "img")
+
+
 def test_rect_equality_hash_and_repr():
     rect = Rect(0.5, 1.0, 2.0, 3.25)
     assert rect == Rect(0.5, 1.0, 2.0, 3.25)

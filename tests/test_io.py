@@ -346,6 +346,18 @@ class TestCurveSerialization:
         assert back.x_semantics == curve.x_semantics
         assert back.y_semantics == curve.y_semantics
 
+    def test_semantics_given_by_name_become_members(self):
+        # Such a curve once built and then failed to write in either format.
+        named = Curve(_sample_curve().points, "fp_count", "tpr_discrete")
+        assert named.x_semantics is XSemantics.FP_COUNT
+        assert named.y_semantics is YSemantics.TPR_DISCRETE
+        for format in ("csv", "json"):
+            assert write_curve(named, format=format) == write_curve(_sample_curve(), format=format)
+        with pytest.raises(ValueError, match="'bogus' is not a valid XSemantics"):
+            Curve((), "bogus", YSemantics.TPR_DISCRETE)
+        with pytest.raises(ValueError, match="'bogus' is not a valid YSemantics"):
+            Curve((), XSemantics.FP_COUNT, "bogus")
+
     def test_csv_layout(self):
         lines = write_curve(_sample_curve(), format="csv").splitlines()
         assert lines[0] == "# x=fp_count y=tpr_discrete"

@@ -734,6 +734,14 @@ def test_proposal_recall_rejects_an_empty_budget_list():
             proposal_recall(_single_image_dataset(), n_values, [0.5])
 
 
+def test_proposal_recall_takes_int_budgets_only():
+    ds = _single_image_dataset()
+    for bad in (True, False, 1.5, 2.0):
+        with pytest.raises(ValueError) as excinfo:
+            proposal_recall(ds, [5, bad], [0.5])
+        assert str(excinfo.value) == f"n_values must be non-negative ints, got [5, {bad!r}]"
+
+
 def test_proposal_recall_rejects_an_empty_iou_grid():
     with pytest.raises(ValueError, match="iou_thresholds must not be empty"):
         proposal_recall(_single_image_dataset(), [5], [])
