@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .geometry import Rect, _check_number, _is_int
+from .geometry import _FLOAT_MAX, Rect, _check_number, _check_number_type, _is_int, _number_text
 
 __all__ = [
     "AnchorSpec",
@@ -50,17 +50,21 @@ class AnchorSpec:
     stride: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        for name in ("scales", "ratios"):
+            values = tuple(getattr(self, name))
+            for i, value in enumerate(values):
+                _check_number(value, f"AnchorSpec.{name}[{i}]")
+            object.__setattr__(self, name, tuple(map(float, values)))
+        _check_number(self.stride, "AnchorSpec.stride")
         if not self.scales:
             raise ValueError("AnchorSpec requires at least one scale")
         if not self.ratios:
             raise ValueError("AnchorSpec requires at least one ratio")
-        if any(s <= 0 or not math.isfinite(s) for s in self.scales):
+        if any(s <= 0 for s in self.scales):
             raise ValueError(f"AnchorSpec scales must be positive, got {self.scales}")
-        if any(r <= 0 or not math.isfinite(r) for r in self.ratios):
+        if any(r <= 0 for r in self.ratios):
             raise ValueError(f"AnchorSpec ratios must be positive, got {self.ratios}")
-        if self.stride <= 0 or not math.isfinite(self.stride):
+        if self.stride <= 0:
             raise ValueError(f"AnchorSpec stride must be positive, got {self.stride}")
         for scale in self.scales:
             for ratio in self.ratios:
@@ -111,8 +115,13 @@ class ResizePlan:
     resized_h: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"ResizePlan scale must be positive and finite, got {self.scale}")
+        _check_number_type(self.scale, "ResizePlan.scale")
+        if not 0 < self.scale <= _FLOAT_MAX:
+            raise ValueError(
+                f"ResizePlan scale must be positive and finite, got {_number_text(self.scale)}"
+            )
+        _check_number(self.resized_w, "ResizePlan.resized_w")
+        _check_number(self.resized_h, "ResizePlan.resized_h")
 
 
 def base_anchors(spec: AnchorSpec) -> list[Rect]:

@@ -60,11 +60,29 @@ def _check_iou_threshold(iou_threshold: float) -> None:
 
 
 def _check_number(value: object, label: str) -> None:
-    """Every number field's rule: an ``int`` or ``float``, not a ``bool``, in the float range."""
+    """Every number field's rule: :func:`_check_number_type`, then in the float range."""
+    _check_number_type(value, label)
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{label} must be finite, got {_number_text(value)}")
+
+
+def _check_number_type(value: object, label: str) -> None:
+    """A number field's type rule: an ``int`` or ``float``, not a ``bool``.
+
+    A field whose own range rule also demands a finite value checks its
+    type with this alone, so that the range rule's message names a
+    non-finite value.
+    """
     if type(value) is not float and (type(value) is bool or not isinstance(value, (int, float))):
         raise TypeError(f"{label} must be an int or float, got {type(value).__name__}")
-    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ValueError(f"{label} must be finite, got {value!r}")
+
+
+def _number_text(value: float) -> str:
+    """``repr(value)``, or the bit length of an ``int`` with too many digits for ``repr``."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits"
 
 
 def _is_int(value: object) -> bool:
@@ -213,21 +231,31 @@ class Polygon:
     ``Rect`` or ``Ellipse`` field does.  Simplicity is not re-checked;
     every constructor in this module emits simple polygons.
 
-    Construction also builds the polygon's clip data for
-    :func:`iou_ellipse_rect` (the monotone runs of each coordinate and the
-    shoelace term of each edge, O(n)) into a private slot that takes no
-    part in equality, hashing or ``repr``.
+    A polygon is also its own clip record for :func:`iou_ellipse_rect`,
+    built with it in O(n) into private fields that take no part in
+    equality, hashing or ``repr``: ``_axes``, the monotone runs of each
+    coordinate, and ``_terms``, the shoelace term of each edge.
+    ``_terms[i]`` is ``x0 * y1 - x1 * y0`` for the edge from vertex ``i``
+    to vertex ``i + 1`` (cyclically), the same float wherever that edge
+    appears in a clipped polygon, with every coordinate taken less the
+    first vertex's.  Summed in index order, as
+    ``tests/oracles.py::reference_signed_area`` sums them about that
+    vertex, they give the polygon's own area.  The shoelace sum does not
+    depend on the point the terms are taken about, but its rounding does:
+    about ``(0, 0)`` the products grow with the polygon's distance from
+    it and cancel, far off, to an area that is wrong or not finite; about
+    a vertex they grow only with the polygon's size.
     """
 
     vertices: tuple[tuple[float, float], ...]
-    _arcs: _Arcs = field(init=False, compare=False, repr=False)
+    _axes: tuple[_Axis, _Axis] = field(init=False, compare=False, repr=False)
+    _terms: list[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError(f"Polygon requires >= 3 vertices, got {len(self.vertices)}")
-        arcs = _build_arcs(self.vertices)
-        object.__setattr__(self, "vertices", arcs.vertices)
-        object.__setattr__(self, "_arcs", arcs)
+        vertices = self.vertices
+        if len(vertices) < 3:
+            raise ValueError(f"Polygon requires >= 3 vertices, got {len(vertices)}")
+        _from_columns([v[0] for v in vertices], [v[1] for v in vertices], self)
 
     @property
     def area(self) -> float:
@@ -242,13 +270,13 @@ class Polygon:
         that is far longer on one axis than on the other; an area past the
         float range is ``inf``.
         """
-        total = functools.reduce(operator.add, self._arcs.terms, 0.0)
+        total = functools.reduce(operator.add, self._terms, 0.0)
         if math.isfinite(total):
             return abs(0.5 * total)
-        xs, ys = (axis.coords for axis in self._arcs.axes)
+        xs, ys = (axis.coords for axis in self._axes)
         x_shift, y_shift = _down_shift(xs), _down_shift(ys)
-        scaled = Polygon(
-            [(math.ldexp(x, x_shift), math.ldexp(y, y_shift)) for x, y in zip(xs, ys)]
+        scaled = _from_columns(
+            [math.ldexp(x, x_shift) for x in xs], [math.ldexp(y, y_shift) for y in ys]
         )
         try:
             return math.ldexp(scaled.area, -x_shift - y_shift)
@@ -304,13 +332,16 @@ def ellipse_to_polygon(ellipse: Ellipse) -> Polygon:
     b = ellipse.semi_minor
     cx = ellipse.center_x
     cy = ellipse.center_y
-    vertices = []
-    append = vertices.append
+    xs = []
+    ys = []
+    add_x = xs.append
+    add_y = ys.append
     for cos_k, sin_k in _unit_circle():
         px = a * cos_k
         py = b * sin_k
-        append((cx + px * cos_t - py * sin_t, cy + px * sin_t + py * cos_t))
-    return Polygon(vertices)
+        add_x(cx + px * cos_t - py * sin_t)
+        add_y(cy + px * sin_t + py * cos_t)
+    return _from_columns(xs, ys)
 
 
 @functools.cache
@@ -337,26 +368,6 @@ class _Axis(NamedTuple):
     ascending: list[bool]
 
 
-class _Arcs(NamedTuple):
-    """A polygon's clip data: its ``(x, y)`` pairs, both axes' runs and its shoelace edge terms.
-
-    ``terms[i]`` is the shoelace term ``x0 * y1 - x1 * y0`` of the edge
-    from vertex ``i`` to vertex ``i + 1`` (cyclically), the same float
-    wherever that edge appears in a clipped polygon, with every
-    coordinate taken less the first vertex's.  Summed in index order, as
-    ``tests/oracles.py::reference_signed_area`` sums them about that
-    vertex, they give the polygon's own area.  The shoelace sum does not
-    depend on the point the terms are taken about, but its rounding does:
-    about ``(0, 0)`` the products grow with the polygon's distance from
-    it and cancel, far off, to an area that is wrong or not finite; about
-    a vertex they grow only with the polygon's size.
-    """
-
-    vertices: tuple[tuple[float, float], ...]
-    axes: tuple[_Axis, _Axis]
-    terms: list[float]
-
-
 def _axis(coords: list[float], rotated: list[float]) -> _Axis:
     """Runs of the finite ``coords``, given ``rotated``, the same list rotated left by one."""
     n = len(coords)
@@ -377,10 +388,14 @@ def _axis(coords: list[float], rotated: list[float]) -> _Axis:
     return _Axis(coords, starts, ascending)
 
 
-def _build_arcs(vertices: Sequence[Sequence[float]]) -> _Arcs:
-    """Clip data of a non-empty vertex sequence, in O(n); a non-finite vertex raises ValueError."""
-    xs = [v[0] for v in vertices]
-    ys = [v[1] for v in vertices]
+def _from_columns(xs: list[float], ys: list[float], polygon: Polygon | None = None) -> Polygon:
+    """The polygon of vertices ``zip(xs, ys)`` with its clip data, in O(n).
+
+    Fills ``polygon``'s fields after its own checks, or a new polygon's
+    when it is omitted: internal paths hold their coordinates as columns
+    already, and ``clip_polygon_to_rect`` clips fewer than 3 vertices too.
+    The columns must be non-empty; a non-finite vertex raises ValueError.
+    """
     if not math.isfinite(sum(xs) + sum(ys)):  # a bad coordinate, or a sum past the float range
         for i, point in enumerate(zip(xs, ys)):
             if not (math.isfinite(point[0]) and math.isfinite(point[1])):
@@ -395,7 +410,12 @@ def _build_arcs(vertices: Sequence[Sequence[float]]) -> _Arcs:
         map(operator.mul, dxs, dys[1:] + dys[:1]),
         map(operator.mul, dxs[1:] + dxs[:1], dys),
     ))
-    return _Arcs(tuple(zip(xs, ys)), (_axis(xs, next_xs), _axis(ys, next_ys)), terms)
+    if polygon is None:
+        polygon = object.__new__(Polygon)
+    object.__setattr__(polygon, "vertices", tuple(zip(xs, ys)))
+    object.__setattr__(polygon, "_axes", (_axis(xs, next_xs), _axis(ys, next_ys)))
+    object.__setattr__(polygon, "_terms", terms)
+    return polygon
 
 
 def _crossing(
@@ -409,7 +429,7 @@ def _crossing(
     return (prev[0] + t * (current[0] - prev[0]), prev[1] + t * (current[1] - prev[1]))
 
 
-def _clip(arcs: _Arcs, rect: Rect) -> list:
+def _clip(polygon: Polygon, rect: Rect) -> list:
     """Sutherland-Hodgman clip of the polygon to the rect, over runs rather than vertices.
 
     Returns the clipped polygon as pieces in output order: a ``range`` of
@@ -423,7 +443,8 @@ def _clip(arcs: _Arcs, rect: Rect) -> list:
     of the run as one index range.  Each pass costs O(runs + log n) for
     its ranges plus O(1) per crossing.
     """
-    vertices, axes, _ = arcs
+    vertices = polygon.vertices
+    axes = polygon._axes
     pieces: list = [range(len(vertices))]
     for axis, bound, keep_above in (
         (0, rect.x_min, True),   # x >= x_min
@@ -503,28 +524,29 @@ def clip_polygon_to_rect(vertices: Sequence[tuple[float, float]], rect: Rect) ->
     """
     if not vertices:
         return []
-    arcs = _build_arcs(vertices)
+    polygon = _from_columns([v[0] for v in vertices], [v[1] for v in vertices])
     out: list[tuple[float, float]] = []
-    for piece in _clip(arcs, rect):
+    for piece in _clip(polygon, rect):
         if type(piece) is range:
-            out += arcs.vertices[piece.start:piece.stop]
+            out += polygon.vertices[piece.start:piece.stop]
         else:
             out.append(piece)
     return out
 
 
-def _clipped_area(arcs: _Arcs, pieces: list) -> float:
+def _clipped_area(polygon: Polygon, pieces: list) -> float:
     """Signed shoelace area of the expanded pieces, bit for bit.
 
     Inside a range every edge is a polygon edge, whose term is read from
-    ``arcs.terms``; only the edges that touch a crossing or join two
+    ``polygon._terms``; only the edges that touch a crossing or join two
     pieces are computed, on coordinates less the first polygon vertex's
     as the cached terms are.  The terms are added one by one in vertex
     order, as the vertex-by-vertex shoelace (``tests/oracles.py``'s
     ``reference_signed_area``) adds them: ``reduce`` adds in sequence,
     where ``sum`` would not (it is compensated from Python 3.12 on).
     """
-    vertices, _, terms = arcs
+    vertices = polygon.vertices
+    terms = polygon._terms
     ox, oy = vertices[0]
     total = 0.0
     prev = None
@@ -568,7 +590,7 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
     IoU is bit-identical to clipping vertex by vertex and summing the
     shoelace of the clipped list, as
     ``tests/oracles.py::reference_iou_ellipse_rect`` does.  Every term is
-    taken about the polygon's first vertex (see ``_Arcs``), so an ellipse
+    taken about the polygon's first vertex (see :class:`Polygon`), so an ellipse
     far from ``(0, 0)`` scores as it does at the origin.
 
     The clip decides every rect of nonzero area: a rect clear of the
@@ -588,11 +610,10 @@ def iou_ellipse_rect(ellipse: Ellipse, rect: Rect, *, polygon: Polygon | None = 
 
 def _polygon_rect_iou(polygon: Polygon, ellipse_area: float, rect: Rect, rect_area: float) -> float:
     """:func:`iou_ellipse_rect` on the ellipse's polygon and area."""
-    arcs = polygon._arcs
-    pieces = _clip(arcs, rect)
+    pieces = _clip(polygon, rect)
     if sum(len(p) if type(p) is range else 1 for p in pieces) < 3:
         return 0.0
-    inter = abs(_clipped_area(arcs, pieces))
+    inter = abs(_clipped_area(polygon, pieces))
     union = ellipse_area + rect_area - inter
     if not math.isfinite(union):
         return _scaled_down_iou(polygon, ellipse_area, rect)
@@ -633,10 +654,10 @@ def _scaled_down_iou(polygon: Polygon, ellipse_area: float, rect: Rect) -> float
     ``2**(-1074 - shift)``; nothing underflows to an error, since the
     scaled copy is built from the polygon, not from a new ``Ellipse``.
     """
-    xs, ys = (axis.coords for axis in polygon._arcs.axes)
+    xs, ys = (axis.coords for axis in polygon._axes)
     corners = (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
     shift = _down_shift((*xs, *ys, *corners))
-    scaled = Polygon([(math.ldexp(x, shift), math.ldexp(y, shift)) for x, y in zip(xs, ys)])
+    scaled = _from_columns([math.ldexp(x, shift) for x in xs], [math.ldexp(y, shift) for y in ys])
     box = Rect(*(math.ldexp(v, shift) for v in corners))
     return _polygon_rect_iou(scaled, math.ldexp(ellipse_area, 2 * shift), box, area(box))
 

@@ -137,43 +137,65 @@ def _parse_region_line(line: str, lineno: int, angle_unit: str, image_id: str) -
     )
 
 
-def _entries(lines: list[str], angle_unit: str) -> Iterator[AnnotationEntry]:
-    """A region-list file's image blocks, one at a time (see :func:`parse_region_list`)."""
+# Characters per chunk of :func:`_lines`.
+_CHUNK = 8192
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """``enumerate(text.splitlines(), 1)``, split about ``_CHUNK`` characters at a time.
+
+    Each chunk but the last ends just after a ``\\n``.  A ``\\n`` always
+    ends a line break, also as the end of ``\\r\\n``, so each chunk splits
+    exactly as it does inside the whole text, and only one chunk's lines
+    are held at a time.
+    """
+    lineno = 1
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        for line in text[start:end].splitlines():
+            yield lineno, line
+            lineno += 1
+        start = end
+
+
+def _entries(lines: Iterator[tuple[int, str]], angle_unit: str) -> Iterator[AnnotationEntry]:
+    """A region-list file's image blocks, one at a time (see :func:`parse_region_list`).
+
+    ``lines`` yields each line with its 1-based number, as :func:`_lines`
+    does; a line past the end reads as blank, one number on.
+    """
     first_seen: dict[str, int] = {}
-    pos = 0
-    while True:
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos >= len(lines):
-            break
-        image_id = lines[pos].strip()
+    for id_line, line in lines:
+        image_id = line.strip()
+        if not image_id:
+            continue
         if image_id in first_seen:
             raise ParseError(
                 f"duplicate image id {image_id!r} (first seen on line {first_seen[image_id]})",
-                pos + 1,
+                id_line,
             )
-        first_seen[image_id] = id_line = pos + 1
-        pos += 1
-        if pos >= len(lines) or not lines[pos].strip():
-            raise ParseError(f"image {image_id!r}: missing region count", pos + 1)
-        count_token = lines[pos].strip()
+        first_seen[image_id] = id_line
+        lineno, line = next(lines, (id_line + 1, ""))
+        count_token = line.strip()
+        if not count_token:
+            raise ParseError(f"image {image_id!r}: missing region count", lineno)
         try:
             count = int(count_token)
         except ValueError:
             raise ParseError(
-                f"image {image_id!r}: expected a region count, got {count_token!r}", pos + 1
+                f"image {image_id!r}: expected a region count, got {count_token!r}", lineno
             ) from None
         if count < 0:
-            raise ParseError(f"image {image_id!r}: negative region count {count}", pos + 1)
-        pos += 1
+            raise ParseError(f"image {image_id!r}: negative region count {count}", lineno)
         regions = []
         for found in range(count):
-            if pos >= len(lines) or not lines[pos].strip():
+            lineno, line = next(lines, (lineno + 1, ""))
+            if not line.strip():
                 raise ParseError(
-                    f"image {image_id!r}: declared {count} regions, found {found}", pos + 1
+                    f"image {image_id!r}: declared {count} regions, found {found}", lineno
                 )
-            regions.append(_parse_region_line(lines[pos], pos + 1, angle_unit, image_id))
-            pos += 1
+            regions.append(_parse_region_line(line, lineno, angle_unit, image_id))
         yield AnnotationEntry(image_id, tuple(regions), id_line)
 
 
@@ -185,7 +207,7 @@ def parse_region_list(text: str, *, angle_unit: str = "radians") -> AnnotationFi
     missing regions, or a duplicate image id.
     """
     _check_angle_unit(angle_unit)
-    return AnnotationFile(tuple(_entries(text.splitlines(), angle_unit)))
+    return AnnotationFile(tuple(_entries(_lines(text), angle_unit)))
 
 
 def _check_angle_unit(angle_unit: str) -> None:
@@ -196,7 +218,7 @@ def _check_angle_unit(angle_unit: str) -> None:
 def parse_scored_rects(text: str) -> list[Detection]:
     """Scored rectangles, one ``x y w h score`` line each, on image ``""``; blank lines skipped."""
     detections = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _lines(text):
         if not line.strip():
             continue
         region = _parse_region_line(line, lineno, "radians", "")
@@ -296,7 +318,7 @@ def read_detections(
     """
     _check_angle_unit(angle_unit)
     _check_top(top)
-    return _detection_blocks(_entries(text.splitlines(), angle_unit), image_ids, top)
+    return _detection_blocks(_entries(_lines(text), angle_unit), image_ids, top)
 
 
 def _check_top(top: int | None) -> None:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -408,6 +409,45 @@ def test_resize_plan_rejects_a_zero_negative_or_non_finite_scale():
     for bad in (0.0, -0.0, -1.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="^ResizePlan scale must be positive and finite, got "):
             ResizePlan(scale=bad, resized_w=1.0, resized_h=1.0)
+
+
+def test_anchor_spec_and_resize_plan_fields_follow_the_number_rule():
+    # A bool, a str or a Decimal in any field is refused before any range
+    # rule or grid build; a Decimal stride once raised a bare TypeError
+    # inside anchor_grid.
+    spec = {"scales": (128.0, 256.0), "ratios": (1.0, 2.0), "stride": 16.0}
+    plan = {"scale": 2.0, "resized_w": 4.0, "resized_h": 6.0}
+    cases = [
+        (AnchorSpec, spec, "scales", lambda bad: (128.0, bad), "AnchorSpec.scales[1]"),
+        (AnchorSpec, spec, "ratios", lambda bad: (bad,), "AnchorSpec.ratios[0]"),
+        (AnchorSpec, spec, "stride", lambda bad: bad, "AnchorSpec.stride"),
+        (ResizePlan, plan, "scale", lambda bad: bad, "ResizePlan.scale"),
+        (ResizePlan, plan, "resized_w", lambda bad: bad, "ResizePlan.resized_w"),
+        (ResizePlan, plan, "resized_h", lambda bad: bad, "ResizePlan.resized_h"),
+    ]
+    for cls, fields, name, value, label in cases:
+        for bad, kind in ((True, "bool"), ("16", "str"), (Decimal("2"), "Decimal")):
+            with pytest.raises(TypeError) as excinfo:
+                cls(**{**fields, name: value(bad)})
+            assert str(excinfo.value) == f"{label} must be an int or float, got {kind}"
+        # The scale's range rule names a non-finite value in its own pinned message.
+        rule = f"{label} must be finite"
+        if name == "scale":
+            rule = "ResizePlan scale must be positive and finite"
+        for bad in (math.nan, math.inf, 10**400):
+            with pytest.raises(ValueError) as excinfo:
+                cls(**{**fields, name: value(bad)})
+            assert str(excinfo.value) == f"{rule}, got {bad!r}"
+    # Ints stay accepted: scales and ratios become floats, the stride keeps its type.
+    built = AnchorSpec(scales=(128,), ratios=(1,), stride=16)
+    assert built.scales == (128.0,) and type(built.scales[0]) is float
+    assert type(built.stride) is int and len(anchor_grid(2, 1, built)) == 2
+    assert ResizePlan(scale=2, resized_w=4, resized_h=6).scale == 2
+    with pytest.raises(ValueError) as excinfo:
+        ResizePlan(scale=10**5000, resized_w=1.0, resized_h=1.0)
+    assert str(excinfo.value) == (
+        "ResizePlan scale must be positive and finite, got an int of 16610 bits"
+    )
 
 
 def test_resize_scale_validation():

@@ -714,13 +714,15 @@ class TestExitCodes:
 
     def test_import_leaves_traceback_unloaded(self):
         # Only the exit-2 branch prints a traceback, so only it imports the
-        # module.  -I -S keeps the environment and site-packages out.
+        # module.  -I -S keeps the environment and site-packages out; -I
+        # also drops PYTHONDONTWRITEBYTECODE, so -B keeps src/ free of a
+        # bytecode cache.
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import facemetrics.cli; "
             "assert 'traceback' not in sys.modules, 'traceback imported'"
         )
-        subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True)
+        subprocess.run([sys.executable, "-B", "-I", "-S", "-c", code], check=True)
 
     @pytest.mark.parametrize(
         "argv, error",

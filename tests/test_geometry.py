@@ -157,16 +157,18 @@ def test_every_number_field_takes_only_a_finite_int_or_float():
     assert len(fields) == 14
     not_numbers = [(True, "bool"), (False, "bool"), ("1", "str"), (Decimal("1"), "Decimal"),
                    (Fraction(1, 2), "Fraction"), (np.float32(1.0), "float32"), (None, "NoneType")]
-    not_finite = [math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+    not_finite = [(bad, repr(bad)) for bad in (math.nan, math.inf, -math.inf, 10**400, -(10**400))]
+    # repr of an int past the int-to-str digit limit raises; the error names its bit length.
+    not_finite += [(bad, "an int of 16610 bits") for bad in (10**5000, -(10**5000))]
     for obj, name, label in fields:
         for bad, kind in not_numbers:
             with pytest.raises(TypeError) as excinfo:
                 dataclasses.replace(obj, **{name: bad})
             assert str(excinfo.value) == f"{label} must be an int or float, got {kind}"
-        for bad in not_finite:
+        for bad, text in not_finite:
             with pytest.raises(ValueError) as excinfo:
                 dataclasses.replace(obj, **{name: bad})
-            assert str(excinfo.value) == f"{label} must be finite, got {bad!r}"
+            assert str(excinfo.value) == f"{label} must be finite, got {text}"
         # An int keeps its type, and a float subclass is a float.
         for good in (1, 1.0, np.float64(1.0)):
             value = getattr(dataclasses.replace(obj, **{name: good}), name)
@@ -320,7 +322,7 @@ def test_polygon_stores_its_vertices_as_given():
     points.append([-4.0, 2.0])
     assert polygon.vertices == from_tuples.vertices and polygon.area == 8.0
     rect = Rect(-1.0, -1.0, 2.0, 2.0)
-    assert geometry._clip(polygon._arcs, rect) == geometry._clip(from_tuples._arcs, rect)
+    assert geometry._clip(polygon, rect) == geometry._clip(from_tuples, rect)
     # The clip returns tuples, never the caller's point objects.
     points = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
     clipped = clip_polygon_to_rect(points, Rect(-1.0, -1.0, 5.0, 5.0))
@@ -339,13 +341,13 @@ def test_polygon_copies_a_vertex_list_into_a_tuple():
     # The caller's list changes; the polygon, its area and its clips do not.
     vertices.append((-4.0, 2.0))
     vertices[1] = (9.0, 9.0)
-    assert polygon.vertices == from_tuple.vertices and len(polygon._arcs.terms) == 3
+    assert polygon.vertices == from_tuple.vertices and len(polygon._terms) == 3
     assert polygon.area == from_tuple.area == 8.0
     rect = Rect(-1.0, -1.0, 2.0, 2.0)
-    pieces = geometry._clip(polygon._arcs, rect)
-    assert pieces == geometry._clip(from_tuple._arcs, rect)
+    pieces = geometry._clip(polygon, rect)
+    assert pieces == geometry._clip(from_tuple, rect)
     clipped = oracles.reference_clip_polygon_to_rect(from_tuple.vertices, rect)
-    assert geometry._clipped_area(polygon._arcs, pieces) == oracles.reference_signed_area(
+    assert geometry._clipped_area(polygon, pieces) == oracles.reference_signed_area(
         clipped, from_tuple.vertices[0]
     )
 
@@ -1088,7 +1090,7 @@ def test_clip_matches_the_vertex_by_vertex_clip_on_ellipses_bit_for_bit():
         scale = abs(ellipse.center_x) + abs(ellipse.center_y) + ellipse.semi_major
         span = 2.0 * ellipse.semi_major
         x0, y0, x1, y1 = box.x_min - span, box.y_min - span, box.x_max + span, box.y_max + span
-        runs = [len(axis.starts) - 1 for axis in geometry._build_arcs(vertices).axes]
+        runs = [len(axis.starts) - 1 for axis in polygon._axes]
         many_runs += min(runs) >= 20
         for axis in (0, 1):
             coords = [v[axis] for v in vertices]
@@ -1175,7 +1177,7 @@ def test_clip_matches_the_vertex_by_vertex_clip_on_concave_and_non_finite_polygo
 
 def test_clip_data_is_built_once_per_ellipse_column(monkeypatch):
     counts = {}
-    _count_calls(monkeypatch, geometry, "_build_arcs", counts)
+    _count_calls(monkeypatch, geometry, "_from_columns", counts)
     rng = random.Random(63)
     gts = [GroundTruth(region=oracles.random_ellipse(rng), image_id="img") for _ in range(3)]
     gts.append(GroundTruth(region=Ellipse(5000.0, 5000.0, 10.0, 5.0, 0.3), image_id="img"))
@@ -1193,24 +1195,26 @@ def test_clip_data_is_built_once_per_ellipse_column(monkeypatch):
     # Four clipped rects in each of the first three columns, none in the fourth.
     assert [sum(row[j] > 0.0 for row in matrix) for j in range(4)] == [4, 4, 4, 0]
     # Each ellipse column's polygon builds its clip data with itself, clipped or not.
-    assert counts["_build_arcs"] == 4
+    assert counts["_from_columns"] == 4
 
     counts.clear()
     assert iou_matrix([far], gts) == [[0.0] * 5]
-    assert counts["_build_arcs"] == 4
+    assert counts["_from_columns"] == 4
 
     # The clip data is not part of the polygon's value, and nothing replaces it.
     polygon = ellipse_to_polygon(gts[0].region)
     fresh = Polygon(polygon.vertices)
     text = repr(polygon)
     iou_ellipse_rect(gts[0].region, dets[0].region, polygon=polygon)
-    assert polygon._arcs == fresh._arcs and polygon._arcs is not fresh._arcs
+    assert polygon._axes == fresh._axes and polygon._axes is not fresh._axes
+    assert polygon._terms == fresh._terms and polygon._terms is not fresh._terms
     assert polygon == fresh and hash(polygon) == hash(fresh) and repr(polygon) == text
-    assert "_arcs" not in text
-    with pytest.raises(FrozenInstanceError):
-        polygon._arcs = None
-    with pytest.raises(TypeError):
-        Polygon(polygon.vertices, _arcs=None)
+    assert "_axes" not in text and "_terms" not in text
+    for name in ("_axes", "_terms"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(polygon, name, None)
+        with pytest.raises(TypeError):
+            Polygon(polygon.vertices, **{name: None})
 
 
 def _ulps(value, steps):

@@ -321,6 +321,59 @@ class TestReadDetections:
         assert [[d.score for d in block] for block in blocks] == [[0.9], [], [0.5]]
 
 
+# Every line break str.splitlines knows.
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineWalk:
+    """Region-list readers walk the text a chunk at a time, numbering lines as splitlines does."""
+
+    LINES = ["a", "2", "0 0 1 1 0.5", "0 0 2 2 0.9", "", "b", "0", "", "c", "1", "1 1 3 3 0.2"]
+
+    def test_the_walk_is_enumerate_splitlines_at_every_chunk_size(self, monkeypatch):
+        rng = random.Random(71)
+        alphabet = _BREAKS + ["x", "y", " ", "\r\r", "\n\n"]
+        texts = ["", "\n", "\r\n", "x", "\r", "x\r\ny\r\n"]
+        for _ in range(300):
+            texts.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))))
+        for chunk in (1, 2, 3, 7, 8192):
+            monkeypatch.setattr(io, "_CHUNK", chunk)
+            for text in texts:
+                assert list(io._lines(text)) == list(enumerate(text.splitlines(), 1)), (chunk, text)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+    def test_a_crlf_across_a_chunk_boundary_is_one_break(self, monkeypatch, chunk):
+        # With chunk sizes 1-5, some chunk's nominal end falls between the
+        # \r and the \n of each \r\n, or just before or after the pair.
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        assert list(io._lines("ab\r\ncd\r\n\r\nef")) == [(1, "ab"), (2, "cd"), (3, ""), (4, "ef")]
+        text = "\r\n".join(self.LINES) + "\r\n"
+        assert parse_region_list(text) == parse_region_list("\n".join(self.LINES))
+
+    @pytest.mark.parametrize("sep", _BREAKS)
+    @pytest.mark.parametrize("chunk", [1, 3, 8192])
+    def test_each_break_gives_the_same_blocks_and_error_lines(self, monkeypatch, sep, chunk):
+        want = parse_region_list("\n".join(self.LINES))
+        monkeypatch.setattr(io, "_CHUNK", chunk)
+        assert parse_region_list(sep.join(self.LINES)) == want
+        blocks = read_detections(sep.join(self.LINES) + sep, {"a", "b", "c"})
+        assert [[d.score for d in block] for block in blocks] == [[0.5, 0.9], [], [0.2]]
+        # A bad line, a missing region and a missing count name the line
+        # that splitlines numbers them by.
+        for lines, line, message in (
+            (self.LINES[:10] + ["1 1 3"], 11, "expected 4 fields"),
+            (self.LINES[:10], 11, "image 'c': declared 1 regions, found 0"),
+            (self.LINES[:9], 10, "image 'c': missing region count"),
+            (self.LINES + ["a"], 12, "duplicate image id 'a' (first seen on line 1)"),
+        ):
+            with pytest.raises(ParseError) as excinfo:
+                parse_region_list(sep.join(lines))
+            assert excinfo.value.line == line and excinfo.value.reason.startswith(message)
+            with pytest.raises(ParseError) as excinfo:
+                list(read_detections(sep.join(lines) + sep, {"a", "b", "c"}))
+            assert excinfo.value.line == line and excinfo.value.reason.startswith(message)
+
+
 def _sample_curve() -> Curve:
     return Curve(
         points=(
